@@ -790,115 +790,6 @@ mod prop {
     }
 }
 
-/// Exhaustive cross-validation: on a tiny pipeline with a coarse frequency
-/// set, enumerate EVERY frequency assignment, build the true Pareto front
-/// of realized (time, total energy), and check that Perseus's frontier
-/// tracks it closely. This validates the whole chain — continuous
-/// relaxation, graph-cut sweep, stretch pass, frequency quantization —
-/// against ground truth.
-#[test]
-fn frontier_matches_brute_force_on_tiny_instance() {
-    use perseus_pipeline::PipeNode;
-
-    let gpu = GpuSpec {
-        name: "tiny-test-gpu",
-        min_freq_mhz: 600,
-        max_freq_mhz: 1000,
-        step_mhz: 100,
-        tdp_w: 300.0,
-        static_w: 80.0,
-        blocking_w: 70.0,
-        alpha: 2.2,
-        flops_per_mhz_s: 1.0e11,
-        cap_knee: 1.0, // pure linear DVFS keeps the ground truth clean
-    };
-    let pipe = build_pipe(2, 2);
-    let stages = vec![
-        StageWorkloads {
-            fwd: Workload::new(50.0, 0.004, 0.85),
-            bwd: Workload::new(100.0, 0.008, 0.92),
-        },
-        StageWorkloads {
-            fwd: Workload::new(65.0, 0.005, 0.85),
-            bwd: Workload::new(130.0, 0.010, 0.92),
-        },
-    ];
-    let ctx = PlanContext::from_model_profiles(&pipe, &gpu, &stages).unwrap();
-
-    // Enumerate all 5^8 assignments over the computation nodes.
-    let comps: Vec<_> = pipe.computations().map(|(id, _)| id).collect();
-    assert_eq!(comps.len(), 8);
-    let freqs = gpu.frequencies();
-    let n_f = freqs.len();
-    let mut brute: Vec<(f64, f64)> = Vec::with_capacity(n_f.pow(8));
-    let mut assignment = vec![0usize; comps.len()];
-    loop {
-        // Evaluate this assignment.
-        let mut dur = vec![0.0f64; pipe.dag.node_count()];
-        let mut energy = vec![0.0f64; pipe.dag.node_count()];
-        for (slot, &id) in comps.iter().enumerate() {
-            let profile = ctx.profile_of(id).unwrap();
-            let e = profile.entry_at(freqs[assignment[slot]]).unwrap();
-            dur[id.index()] = e.time_s;
-            energy[id.index()] = e.energy_j;
-        }
-        let report = crate::pipeline_energy(
-            &pipe,
-            |id, _: &PipeNode| dur[id.index()],
-            |id, _: &PipeNode| energy[id.index()],
-            gpu.blocking_w,
-            None,
-        );
-        brute.push((report.iter_time_s, report.total_j()));
-        // Next assignment (odometer).
-        let mut k = 0;
-        loop {
-            assignment[k] += 1;
-            if assignment[k] < n_f {
-                break;
-            }
-            assignment[k] = 0;
-            k += 1;
-            if k == comps.len() {
-                break;
-            }
-        }
-        if k == comps.len() {
-            break;
-        }
-    }
-    // True Pareto front (ascending time, strictly descending energy).
-    brute.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut front: Vec<(f64, f64)> = Vec::new();
-    let mut best = f64::INFINITY;
-    for (t, e) in brute {
-        if e < best {
-            best = e;
-            front.push((t, e));
-        }
-    }
-
-    let frontier = characterize(&ctx, &FrontierOptions::default()).unwrap();
-    // For every ground-truth Pareto point, Perseus must offer a schedule
-    // that is no slower and at most a few percent hungrier (continuous
-    // relaxation + τ quantization account for the gap).
-    for &(t_b, e_b) in &front {
-        let candidate = frontier
-            .points()
-            .iter()
-            .filter(|p| p.schedule.time_s <= t_b + 1e-9)
-            .map(|p| p.schedule.energy_report(&ctx, None).total_j())
-            .fold(f64::INFINITY, f64::min);
-        assert!(
-            candidate <= e_b * 1.05,
-            "at T={t_b:.4}: perseus best {candidate:.2} J vs brute optimum {e_b:.2} J"
-        );
-    }
-    // And the fastest point must hit the true minimum time exactly.
-    let t_floor = front.first().unwrap().0;
-    assert!((frontier.fastest().schedule.time_s - t_floor).abs() < 1e-9);
-}
-
 mod fingerprint_and_cache {
     use std::sync::Arc;
 

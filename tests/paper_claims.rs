@@ -4,9 +4,10 @@
 use perseus::baselines::{AllMaxFreq, EnvPipe, EnvPipeOptions, ZeusGlobal};
 use perseus::cluster::{ClusterConfig, Emulator, Policy};
 use perseus::core::{characterize, FrontierOptions, PlanContext, Planner};
-use perseus::gpu::GpuSpec;
+use perseus::gpu::{GpuSpec, Workload};
 use perseus::models::zoo;
 use perseus::pipeline::{PipelineBuilder, ScheduleKind};
+use proptest::prelude::*;
 
 fn emulator(model: perseus::models::ModelSpec, gpu: GpuSpec, m: usize) -> Emulator {
     Emulator::new(ClusterConfig {
@@ -182,4 +183,191 @@ fn envpipe_respects_its_slowdown_budget() {
         .energy_report(&ctx, None);
     assert!(ep.iter_time_s <= base.iter_time_s * 1.011);
     assert!(ep.total_j() < base.total_j());
+}
+
+// ---- exhaustive frontier oracle ----
+//
+// On tiny pipelines with a coarse clock table, enumerate EVERY frequency
+// assignment, build the true Pareto front of realized (time, total
+// energy), and check that the characterized frontier tracks it. This
+// validates the whole chain (continuous relaxation, graph-cut sweep,
+// stretch pass, frequency quantization) against ground truth rather than
+// against a previous implementation.
+
+/// The oracle's GPU: pure linear DVFS (`cap_knee: 1.0`) keeps the ground
+/// truth clean, and the clock table steps down from 1000 MHz by 100 MHz,
+/// `n_freqs` entries deep.
+fn oracle_gpu(n_freqs: u32) -> GpuSpec {
+    GpuSpec {
+        name: "oracle-gpu",
+        min_freq_mhz: 1000 - 100 * (n_freqs - 1),
+        max_freq_mhz: 1000,
+        step_mhz: 100,
+        tdp_w: 300.0,
+        static_w: 80.0,
+        blocking_w: 70.0,
+        alpha: 2.2,
+        flops_per_mhz_s: 1.0e11,
+        cap_knee: 1.0,
+    }
+}
+
+/// Checks the characterized frontier against the true Pareto front found
+/// by enumerating every frequency assignment of every computation:
+///
+/// * the fastest frontier point hits the true minimum time (within 1e-9);
+/// * for every true Pareto point, the frontier offers a schedule that is
+///   no slower and uses at most 5% more energy (continuous relaxation and
+///   τ quantization account for the gap).
+///
+/// Returns the largest relative energy gap seen, or a description of the
+/// first violated claim.
+fn check_frontier_against_oracle(
+    kind: ScheduleKind,
+    n_microbatches: usize,
+    n_freqs: u32,
+    stages: &[perseus::models::StageWorkloads],
+) -> Result<f64, String> {
+    use perseus::pipeline::PipeNode;
+
+    let gpu = oracle_gpu(n_freqs);
+    let pipe = PipelineBuilder::new(kind, stages.len(), n_microbatches)
+        .build()
+        .unwrap();
+    let ctx = PlanContext::from_model_profiles(&pipe, &gpu, stages).unwrap();
+    let comps: Vec<_> = pipe.computations().map(|(id, _)| id).collect();
+    let freqs = gpu.frequencies();
+    // (time, energy) of every computation at every clock, by slot.
+    let table: Vec<Vec<(f64, f64)>> = comps
+        .iter()
+        .map(|&id| {
+            let profile = ctx.profile_of(id).unwrap();
+            freqs
+                .iter()
+                .map(|&f| {
+                    let e = profile.entry_at(f).unwrap();
+                    (e.time_s, e.energy_j)
+                })
+                .collect()
+        })
+        .collect();
+
+    let mut dur = vec![0.0f64; pipe.dag.node_count()];
+    let mut energy = vec![0.0f64; pipe.dag.node_count()];
+    let mut assignment = vec![0usize; comps.len()];
+    let mut brute = Vec::with_capacity(freqs.len().pow(comps.len() as u32));
+    'odometer: loop {
+        for (slot, &id) in comps.iter().enumerate() {
+            (dur[id.index()], energy[id.index()]) = table[slot][assignment[slot]];
+        }
+        let report = perseus::core::pipeline_energy(
+            &pipe,
+            |id, _: &PipeNode| dur[id.index()],
+            |id, _: &PipeNode| energy[id.index()],
+            gpu.blocking_w,
+            None,
+        );
+        brute.push((report.iter_time_s, report.total_j()));
+        for digit in assignment.iter_mut() {
+            *digit += 1;
+            if *digit < freqs.len() {
+                continue 'odometer;
+            }
+            *digit = 0;
+        }
+        break;
+    }
+    // True Pareto front: ascending time, strictly descending energy.
+    brute.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut front: Vec<(f64, f64)> = Vec::new();
+    let mut best = f64::INFINITY;
+    for (t, e) in brute {
+        if e < best {
+            best = e;
+            front.push((t, e));
+        }
+    }
+
+    let frontier = characterize(&ctx, &FrontierOptions::default()).unwrap();
+    let t_floor = front[0].0;
+    let fastest = frontier.fastest().schedule.time_s;
+    if (fastest - t_floor).abs() >= 1e-9 {
+        return Err(format!(
+            "fastest point {fastest} s vs true minimum {t_floor} s"
+        ));
+    }
+    let mut worst_gap = 0.0f64;
+    for &(t_b, e_b) in &front {
+        let candidate = frontier
+            .points()
+            .iter()
+            .filter(|p| p.schedule.time_s <= t_b + 1e-9)
+            .map(|p| p.schedule.energy_report(&ctx, None).total_j())
+            .fold(f64::INFINITY, f64::min);
+        if candidate > e_b * 1.05 {
+            return Err(format!(
+                "at T={t_b:.4}: perseus best {candidate:.2} J vs brute optimum {e_b:.2} J"
+            ));
+        }
+        worst_gap = worst_gap.max(candidate / e_b - 1.0);
+    }
+    Ok(worst_gap)
+}
+
+#[test]
+fn frontier_matches_brute_force_on_fixed_2x2_instance() {
+    let stages = [
+        perseus::models::StageWorkloads {
+            fwd: Workload::new(50.0, 0.004, 0.85),
+            bwd: Workload::new(100.0, 0.008, 0.92),
+        },
+        perseus::models::StageWorkloads {
+            fwd: Workload::new(65.0, 0.005, 0.85),
+            bwd: Workload::new(130.0, 0.010, 0.92),
+        },
+    ];
+    if let Err(msg) = check_frontier_against_oracle(ScheduleKind::OneFOneB, 2, 5, &stages) {
+        panic!("{msg}");
+    }
+}
+
+/// `(stages, microbatches, clock steps)`: every shape keeps the
+/// enumeration at ≤ 3^12 = 531,441 assignments.
+const ORACLE_SHAPES: [(usize, usize, u32); 4] = [(2, 2, 5), (2, 2, 4), (2, 3, 3), (3, 2, 3)];
+
+fn arb_stage() -> impl Strategy<Value = perseus::models::StageWorkloads> {
+    (
+        30.0f64..150.0,
+        0.001f64..0.012,
+        0.75f64..0.95,
+        1.5f64..2.5,
+        0.75f64..0.95,
+    )
+        .prop_map(|(compute, mem, fwd_util, bwd_ratio, bwd_util)| {
+            perseus::models::StageWorkloads {
+                fwd: Workload::new(compute, mem, fwd_util),
+                bwd: Workload::new(compute * bwd_ratio, mem * bwd_ratio, bwd_util),
+            }
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn frontier_matches_brute_force_oracle(
+        shape in 0usize..ORACLE_SHAPES.len(),
+        gpipe in any::<bool>(),
+        stages in proptest::collection::vec(arb_stage(), 3..4),
+    ) {
+        let (n_stages, n_microbatches, n_freqs) = ORACLE_SHAPES[shape];
+        let kind = if gpipe { ScheduleKind::GPipe } else { ScheduleKind::OneFOneB };
+        let outcome =
+            check_frontier_against_oracle(kind, n_microbatches, n_freqs, &stages[..n_stages]);
+        prop_assert!(
+            outcome.is_ok(),
+            "{kind:?} {n_stages}x{n_microbatches}, {n_freqs} clocks, {stages:?}: {}",
+            outcome.unwrap_err()
+        );
+    }
 }
