@@ -3,7 +3,7 @@
 //! DAG grows with stages × microbatches.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use perseus_flow::{BoundedFlowProblem, FlowGraph};
+use perseus_flow::FlowGraph;
 
 /// A layered network shaped like a pipeline critical DAG: `layers` ranks of
 /// `width` nodes with staggered forward edges.
@@ -43,22 +43,6 @@ fn bench_maxflow(c: &mut Criterion) {
                         g.add_edge(u, v, cap);
                     }
                     g.max_flow(0, t)
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("bounded", format!("{layers}x{width}")),
-            &edges,
-            |b, edges| {
-                b.iter(|| {
-                    let mut p = BoundedFlowProblem::new(n);
-                    for &(u, v, cap) in edges {
-                        // Small forced flows out of the source keep the
-                        // lower-bound phase exercised yet always feasible.
-                        let lower = if u == 0 { cap * 0.05 } else { 0.0 };
-                        p.add_edge(u, v, lower, cap);
-                    }
-                    p.solve(0, t).expect("feasible")
                 })
             },
         );

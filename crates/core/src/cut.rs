@@ -27,10 +27,6 @@ pub enum CutOutcome {
     Reduced {
         /// New makespan after the modification.
         new_makespan: f64,
-        /// Computations sped up (pipeline DAG node ids).
-        sped_up: Vec<NodeId>,
-        /// Computations slowed down.
-        slowed_down: Vec<NodeId>,
     },
     /// Every s-t cut crosses an unmodifiable (already-fastest or fixed)
     /// edge: the iteration time cannot be reduced further.
@@ -114,7 +110,6 @@ pub struct SolverArena {
     warm: WarmStart,
     warm_enabled: bool,
     problem: BoundedFlowProblem,
-    relaxed: BoundedFlowProblem,
     sol: BoundedFlowSolution,
     caps: Vec<EdgeCap>,
     contractible: Vec<bool>,
@@ -142,7 +137,6 @@ impl SolverArena {
             warm: WarmStart::new(),
             warm_enabled: true,
             problem: BoundedFlowProblem::default(),
-            relaxed: BoundedFlowProblem::default(),
             sol: BoundedFlowSolution::default(),
             caps: Vec::new(),
             contractible: Vec::new(),
@@ -156,10 +150,11 @@ impl SolverArena {
         }
     }
 
-    /// Enables or disables warm starting. Disabled, every solve rebuilds
-    /// the flow network from scratch through the same code path — the cold
-    /// baseline the `solver_suite` bench compares against. Outputs are
-    /// identical either way; only the work differs.
+    /// Enables or disables warm starting. Disabled, every solve first
+    /// invalidates the [`WarmStart`] handle, so the same solve call
+    /// rebuilds the flow network from scratch — the cold baseline the
+    /// `solver_suite` bench compares against. Outputs are identical either
+    /// way; only the work differs.
     pub fn set_warm(&mut self, enabled: bool) {
         self.warm_enabled = enabled;
         if !enabled {
@@ -176,7 +171,6 @@ impl SolverArena {
 /// Capacity-DAG annotation of one critical edge before contraction.
 #[derive(Debug, Clone, Copy)]
 struct EdgeCap {
-    lower: f64,
     upper: f64,
     /// Node to speed up if a forward cut selects this edge.
     speed: Option<NodeId>,
@@ -187,26 +181,16 @@ struct EdgeCap {
 }
 
 /// One step along the frontier: reduce the DAG's execution time with
-/// minimal energy increase (see [`get_next_pareto_with`]).
-pub fn get_next_pareto(ctx: &PlanContext<'_>, planned: &mut [f64], tau: f64) -> CutOutcome {
-    let solver = CutSolver::new(ctx.pipe);
-    get_next_pareto_with(ctx, &solver, planned, tau)
-}
-
-/// [`get_next_pareto`] against a prebuilt [`CutSolver`] (the fast path for
-/// the iterative sweep).
+/// minimal energy increase, against a prebuilt [`CutSolver`] and a
+/// reusable [`SolverArena`].
 ///
 /// `planned` holds the current planned duration of every pipeline DAG node
 /// (by node index) and is modified in place on success.
 ///
-/// The capacity of each critical computation follows Appendix D Eq. 8
-/// literally: `e⁺ = e(t−τ) − e(t)` to speed up, `e⁻ = e(t) − e(t+τ)`
-/// reclaimed by slowing down, both read off the fitted exponential of the
-/// *measured computation energy*. (Augmenting these with blocking-power
-/// terms looks tempting — slowing converts blocking watts into compute
-/// watts — but it creates negative-value cuts that violate Hoffman's
-/// feasibility condition for flows with lower bounds; the paper's
-/// formulation avoids this by keeping `P_blocking` out of the capacities.)
+/// The speed-up capacity of each critical computation follows Appendix D
+/// Eq. 8: `e⁺ = e(t−τ) − e(t)`, read off the fitted exponential of the
+/// *measured computation energy*; as in the paper, `P_blocking` stays out
+/// of the capacities.
 ///
 /// Engineering refinements over the paper's pseudocode (all standard in
 /// the time–cost tradeoff literature — Phillips–Dessouky / Hochbaum
@@ -214,48 +198,25 @@ pub fn get_next_pareto(ctx: &PlanContext<'_>, planned: &mut [f64], tau: f64) -> 
 ///
 /// * **Adaptive steps** — the applied step is `min(τ, smallest headroom on
 ///   the cut)`, so sub-τ duration crumbs never wedge the sweep.
-/// * **Relaxed lower bounds + stretch pass** — slowdown rewards are
-///   removed from the flow (killing the expensive feasibility phase);
-///   [`characterize`](crate::characterize) instead stretches every
-///   computation into its schedule gap after each step, which dominates
-///   any backward-crossing slowdown because fitted energy decreases on
+/// * **Zero lower bounds + stretch pass** — Eq. 8's slowdown rewards `e⁻`
+///   would be edge lower bounds, needing Algorithm 3's feasibility phase
+///   (and a fallback when Hoffman's condition fails). They are set to
+///   zero instead, so each step is a plain capacity-only min cut;
+///   [`characterize`](crate::characterize) stretches every computation
+///   into its schedule gap after each step, which dominates any
+///   backward-crossing slowdown because fitted energy decreases on
 ///   `[t_min, t_max]`.
 /// * **Series contraction** — chains of degree-(1,1) nodes in the Critical
-///   DAG compose as `upper = min, lower = max`; a cut crosses a chain at
-///   its cheapest edge.
-pub fn get_next_pareto_with(
-    ctx: &PlanContext<'_>,
-    solver: &CutSolver,
-    planned: &mut [f64],
-    tau: f64,
-) -> CutOutcome {
-    get_next_pareto_traced(ctx, solver, planned, tau, &Telemetry::disabled())
-}
-
-/// [`get_next_pareto_with`] with instrumentation: counts cut solves and
-/// infeasible-retry re-solves, and threads `telemetry` into the bounded
-/// max-flow solver. Equivalent to [`get_next_pareto_arena`] against a
-/// throwaway arena (every solve cold).
-pub fn get_next_pareto_traced(
-    ctx: &PlanContext<'_>,
-    solver: &CutSolver,
-    planned: &mut [f64],
-    tau: f64,
-    telemetry: &Telemetry,
-) -> CutOutcome {
-    let mut arena = SolverArena::new();
-    get_next_pareto_arena(ctx, solver, planned, tau, &mut arena, telemetry)
-}
-
-/// [`get_next_pareto_traced`] against a reusable [`SolverArena`]: the
-/// compacted problem, solution, and cut buffers live in the arena
-/// (capacity patches instead of rebuilds), and when consecutive calls
-/// produce the same compacted topology — the common case along a frontier,
-/// where only durations drift — the max flow is warm-started from the
-/// previous iteration's flow instead of re-derived from zero.
-///
-/// Output is bit-identical to the cold path: the solver extracts the
-/// minimal source-side min cut, which is unique across all maximum flows.
+///   DAG compose as `upper = min`; a cut crosses a chain at its cheapest
+///   edge.
+/// * **Warm starts** — the compacted problem, solution, and cut buffers
+///   live in the arena (capacity patches instead of rebuilds), and when
+///   consecutive calls produce the same compacted topology — the common
+///   case along a frontier, where only durations drift — the max flow is
+///   re-augmented from the previous iteration's flow instead of re-derived
+///   from zero. Output is bit-identical to the cold path: the solver
+///   extracts the minimal source-side min cut, which is unique across all
+///   maximum flows.
 pub fn get_next_pareto_arena(
     ctx: &PlanContext<'_>,
     solver: &CutSolver,
@@ -273,7 +234,6 @@ pub fn get_next_pareto_arena(
         warm,
         warm_enabled,
         problem,
-        relaxed,
         sol,
         caps,
         contractible,
@@ -343,18 +303,15 @@ pub fn get_next_pareto_arena(
             } else {
                 0.0
             };
-            // Lower bounds (the Eq. 8 slowdown rewards e⁻) are relaxed
-            // to zero: the post-step stretch pass (see `characterize`)
-            // reclaims every gap a backward-crossing slowdown would
-            // have exploited, because the fitted energy is decreasing
-            // on [t_min, t_max] — zero-slack schedules dominate. This
-            // removes the expensive feasibility phase of the
-            // lower-bounded max flow while keeping the same end
-            // states. e⁻ still breaks ties for which chain member to
-            // slow when a backward cut edge does appear.
+            // The Eq. 8 slowdown rewards e⁻ are not lower bounds here:
+            // the post-step stretch pass (see `characterize`) reclaims
+            // every gap a backward-crossing slowdown would have
+            // exploited, because the fitted energy is decreasing on
+            // [t_min, t_max] — zero-slack schedules dominate. e⁻ only
+            // breaks ties for which chain member to slow when a
+            // backward cut edge does appear.
             match (can_speed, can_slow) {
                 (true, true) => EdgeCap {
-                    lower: 0.0,
                     upper: e_plus,
                     speed: Some(*n),
                     slow: Some(*n),
@@ -362,7 +319,6 @@ pub fn get_next_pareto_arena(
                 },
                 // Slowest: cannot slow further, may speed.
                 (true, false) => EdgeCap {
-                    lower: 0.0,
                     upper: e_plus,
                     speed: Some(*n),
                     slow: None,
@@ -370,14 +326,12 @@ pub fn get_next_pareto_arena(
                 },
                 // Fastest: cannot speed, may slow.
                 (false, true) => EdgeCap {
-                    lower: 0.0,
                     upper: inf,
                     speed: None,
                     slow: Some(*n),
                     slow_gain: e_minus,
                 },
                 (false, false) => EdgeCap {
-                    lower: 0.0,
                     upper: inf,
                     speed: None,
                     slow: None,
@@ -386,7 +340,6 @@ pub fn get_next_pareto_arena(
             }
         }
         EcEdge::Fixed(_) | EcEdge::Dep => EdgeCap {
-            lower: 0.0,
             upper: inf,
             speed: None,
             slow: None,
@@ -398,8 +351,8 @@ pub fn get_next_pareto_arena(
     // incoming and one outgoing edge is a pass-through; flow through a
     // chain equals flow through each of its edges, so the chain behaves
     // like one edge with `upper = min(upper_i)` (a forward cut picks the
-    // cheapest edge to speed) and `lower = max(lower_i)` (a backward cut
-    // slows the edge with the largest reclaim).
+    // cheapest edge to speed; a backward cut slows the edge with the
+    // largest reclaim).
     contractible.clear();
     contractible.extend(
         cg.node_ids()
@@ -437,21 +390,11 @@ pub fn get_next_pareto_arena(
                     cap.slow_gain = c.slow_gain;
                     cap.slow = c.slow;
                 }
-                if c.lower > cap.lower {
-                    cap.lower = c.lower;
-                }
                 head = next.dst;
-            }
-            // An infeasible interval can only arise from composing a large
-            // slowdown reward with a small speedup cost along one chain —
-            // relax the reward; the cut stays valid, marginally pricier.
-            if cap.lower > cap.upper {
-                cap.lower = cap.upper;
             }
             problem.add_edge(
                 compact[u.index()].expect("non-contractible"),
                 compact[head.index()].expect("non-contractible"),
-                cap.lower,
                 cap.upper,
             );
             edge_meta.push((cap.speed, cap.slow));
@@ -468,50 +411,25 @@ pub fn get_next_pareto_arena(
     stats.solves += 1;
     let solved = {
         let _span = span!(telemetry, "cut_solve");
-        problem.solve_warm_into(s, t, warm, sol, telemetry)
+        problem.solve(s, t, warm, sol, telemetry)
     };
-    match solved {
-        Ok(hit) => {
-            let paths = sol.augmenting_paths;
-            stats.augmenting_paths += paths;
-            if hit {
-                stats.warm_start_hits += 1;
-                let saved = last_cold_paths.saturating_sub(paths);
-                stats.augmenting_paths_saved += saved;
-                if telemetry.is_enabled() {
-                    telemetry.counter("perseus_cut_warm_start_hits_total").inc();
-                    telemetry
-                        .counter("perseus_cut_augmenting_paths_saved_total")
-                        .add(saved);
-                }
-            } else {
-                *last_cold_paths = paths;
-            }
+    let Ok(hit) = solved else {
+        return CutOutcome::AtMinimumTime;
+    };
+    let paths = sol.augmenting_paths;
+    stats.augmenting_paths += paths;
+    if hit {
+        stats.warm_start_hits += 1;
+        let saved = last_cold_paths.saturating_sub(paths);
+        stats.augmenting_paths_saved += saved;
+        if telemetry.is_enabled() {
+            telemetry.counter("perseus_cut_warm_start_hits_total").inc();
+            telemetry
+                .counter("perseus_cut_augmenting_paths_saved_total")
+                .add(saved);
         }
-        Err(perseus_flow::FlowError::Infeasible { .. }) => {
-            // Hoffman's condition can still fail in rare configurations
-            // (a negative-value cut exists: some simultaneous speed-up /
-            // slow-down would reduce both time and fitted energy). Retry
-            // with the slowdown rewards removed: every cut is then
-            // non-negative and feasibility is guaranteed, at the cost of a
-            // (slightly) less energy-efficient step. Backward-crossing
-            // slowable edges are still slowed when applying the cut.
-            if telemetry.is_enabled() {
-                telemetry.counter("perseus_cut_resolves_total").inc();
-            }
-            relaxed.reset(n_compact);
-            for e in problem.edges() {
-                relaxed.add_edge(e.src, e.dst, 0.0, e.upper);
-            }
-            match relaxed.solve_with(s, t, telemetry) {
-                Ok(relaxed_sol) => {
-                    stats.augmenting_paths += relaxed_sol.augmenting_paths;
-                    *sol = relaxed_sol;
-                }
-                Err(_) => return CutOutcome::AtMinimumTime,
-            }
-        }
-        Err(_) => return CutOutcome::AtMinimumTime,
+    } else {
+        *last_cold_paths = paths;
     }
     if problem.cut_capacity(&sol.source_side).is_infinite() {
         return CutOutcome::AtMinimumTime;
@@ -540,12 +458,9 @@ pub fn get_next_pareto_arena(
     if delta <= 0.0 {
         return CutOutcome::AtMinimumTime;
     }
-    let mut sped_up = Vec::new();
-    let mut slowed_down = Vec::new();
     for &n in speed_targets.iter() {
         let info = ctx.info(n).expect("comp");
         planned[n.index()] = (planned[n.index()] - delta).max(info.t_min);
-        sped_up.push(n);
     }
     sol.backward_cut_edges_into(problem, cut_scratch);
     backup.clear();
@@ -558,7 +473,6 @@ pub fn get_next_pareto_arena(
     for &(n, t_old) in backup.iter() {
         let info = ctx.info(n).expect("comp");
         planned[n.index()] = (t_old + delta).min(info.t_max);
-        slowed_down.push(n);
     }
 
     // Defensive re-check: the theory says the makespan shrinks by δ; if a
@@ -570,15 +484,10 @@ pub fn get_next_pareto_arena(
         for &(n, t_old) in backup.iter() {
             planned[n.index()] = t_old;
         }
-        slowed_down.clear();
         new_makespan =
             TimingAnalysis::compute_with_order(ec, &solver.order, dur_of(planned)).makespan;
     }
-    CutOutcome::Reduced {
-        new_makespan,
-        sped_up,
-        slowed_down,
-    }
+    CutOutcome::Reduced { new_makespan }
 }
 
 /// Duration closure over the current planned durations.

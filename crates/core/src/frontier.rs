@@ -546,7 +546,7 @@ impl FrontierSolver {
             }
             pd_iterations += 1;
             match get_next_pareto_arena(ctx, &self.cut, &mut planned, tau, &mut arena, tel) {
-                CutOutcome::Reduced { new_makespan, .. } => {
+                CutOutcome::Reduced { new_makespan } => {
                     // Steps may legitimately shrink below τ when a cut edge
                     // has little headroom left; only a truly stalled step
                     // ends the sweep.

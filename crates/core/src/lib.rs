@@ -10,9 +10,13 @@
 //!   time `τ` with minimal energy increase until `T_min` is reached.
 //! * **`GetNextPareto`** (Algorithm 2, Appendix D) — convert the pipeline
 //!   DAG to edge-centric form, keep only critical computations, annotate
-//!   flow capacities `(0, e⁺) / (e⁻, ∞) / (e⁻, e⁺)` from the fitted
-//!   exponential, and solve a minimum cut (max flow with lower bounds):
-//!   forward cut edges speed up by τ, backward cut edges slow down by τ.
+//!   each with its speed-up cost `e⁺` from the fitted exponential (∞ when
+//!   it cannot speed up), and solve a capacity-only minimum cut: forward
+//!   cut edges speed up by τ, backward cut edges slow down by τ. Paper
+//!   Eq. 8 also gives each edge a slowdown reward `e⁻` as a flow *lower*
+//!   bound, solved by Algorithm 3's feasibility phase; here those lower
+//!   bounds are zero (where that phase routes nothing) and a stretch pass
+//!   after each step reclaims the slack instead.
 //! * **Energy accounting** (Eq. 3/4) — a pipeline's energy is computation
 //!   energy plus `P_blocking` times all the time its GPUs spend blocked,
 //!   including waiting for a straggler; the frontier is characterized
@@ -54,10 +58,7 @@ mod sleep;
 
 pub use cache::{PlanCache, PlanCacheStats};
 pub use context::{CoreError, NodePlanInfo, PlanContext};
-pub use cut::{
-    get_next_pareto, get_next_pareto_arena, get_next_pareto_traced, get_next_pareto_with,
-    ArenaStats, CutOutcome, CutSolver, SolverArena,
-};
+pub use cut::{get_next_pareto_arena, ArenaStats, CutOutcome, CutSolver, SolverArena};
 pub use energy::{pipeline_energy, PipelineEnergy};
 pub use error::Error;
 pub use fingerprint::{plan_fingerprint, plan_fingerprint_with_power, PlanFingerprint};

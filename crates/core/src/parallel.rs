@@ -94,7 +94,7 @@ mod tests {
 
     #[test]
     fn borrows_caller_state() {
-        let base = vec![10u64, 20, 30];
+        let base = [10u64, 20, 30];
         let items = [0usize, 1, 2];
         let out = parallel_map(&items, |&i| base[i] + 1);
         assert_eq!(out, vec![11, 21, 31]);

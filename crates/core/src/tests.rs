@@ -3,7 +3,7 @@ use perseus_models::StageWorkloads;
 use perseus_pipeline::{node_start_times, PipelineBuilder, PipelineDag, ScheduleKind};
 
 use crate::context::PlanContext;
-use crate::cut::{get_next_pareto, CutOutcome};
+use crate::cut::{get_next_pareto_arena, CutOutcome, CutSolver, SolverArena};
 use crate::frontier::{
     characterize, EnergySchedule, FrontierOptions, FrontierSolver, ParetoFrontier,
 };
@@ -273,6 +273,14 @@ fn straggler_reduces_energy_up_to_t_star() {
     }
 }
 
+/// One cold `GetNextPareto` step through a throwaway arena.
+fn next_pareto_step(ctx: &PlanContext<'_>, planned: &mut [f64], tau: f64) -> CutOutcome {
+    let solver = CutSolver::new(ctx.pipe);
+    let mut arena = SolverArena::new();
+    let tel = perseus_telemetry::Telemetry::disabled();
+    get_next_pareto_arena(ctx, &solver, planned, tau, &mut arena, &tel)
+}
+
 #[test]
 fn get_next_pareto_reduces_makespan_by_tau() {
     let gpu = GpuSpec::a100_pcie();
@@ -282,13 +290,8 @@ fn get_next_pareto_reduces_makespan_by_tau() {
     let mut planned = ctx.min_energy_durations();
     let (_, t0) = node_start_times(&pipe.dag, |id, _| planned[id.index()]);
     let tau = 1e-3;
-    match get_next_pareto(&ctx, &mut planned, tau) {
-        CutOutcome::Reduced {
-            new_makespan,
-            sped_up,
-            ..
-        } => {
-            assert!(!sped_up.is_empty());
+    match next_pareto_step(&ctx, &mut planned, tau) {
+        CutOutcome::Reduced { new_makespan } => {
             let drop = t0 - new_makespan;
             assert!(
                 drop > tau * 0.5 && drop < tau * 1.5,
@@ -307,7 +310,7 @@ fn get_next_pareto_stops_at_minimum_time() {
     let ctx = PlanContext::from_model_profiles(&pipe, &gpu, &stages).unwrap();
     let mut planned = ctx.fastest_durations();
     assert_eq!(
-        get_next_pareto(&ctx, &mut planned, 1e-3),
+        next_pareto_step(&ctx, &mut planned, 1e-3),
         CutOutcome::AtMinimumTime
     );
 }
@@ -827,7 +830,7 @@ mod fingerprint_and_cache {
         let mut db = ProfileDb::new();
         for &i in order {
             let (k, p) = &pairs[i];
-            db.insert(k.clone(), p.clone());
+            db.insert(*k, p.clone());
         }
         db
     }

@@ -1,21 +1,24 @@
-//! Maximum flow with edge lower bounds — paper Algorithm 3.
+//! Capacity-bounded minimum cut with warm starts.
 //!
-//! The Capacity DAG of `GetNextPareto` assigns each critical computation a
-//! flow interval `(l, u)` (paper Eq. 8). The Max-Flow Min-Cut theorem still
-//! holds with lower bounds (Ford & Fulkerson, ch. 1 §9), so the minimum cut
-//! can be recovered after a two-phase reduction:
+//! The Capacity DAG of `GetNextPareto` gives every critical computation an
+//! upper flow bound (its speed-up cost `e⁺`, or "unbounded" when it cannot
+//! be sped up). [`BoundedFlowProblem`] describes such a network,
+//! [`BoundedFlowProblem::solve`] finds its maximum flow and the minimal
+//! source-side minimum cut, and a [`WarmStart`] handle lets consecutive
+//! Phillips–Dessouky iterations re-augment from the previous flow instead
+//! of solving from zero.
 //!
-//! 1. add dummy terminals `s'`, `t'` and a `t -> s` back edge to turn the
-//!    bounded problem into a plain circulation feasibility max-flow,
-//! 2. if the dummy flow saturates (a feasible flow exists), translate it
-//!    back and augment `s -> t` on the residual network.
+//! Paper Eq. 8 also gives each edge a *lower* bound (the slowdown reward
+//! `e⁻`), solved by Algorithm 3's feasibility phase. This crate does not
+//! implement that phase: the planner relaxes every lower bound to zero and
+//! reclaims the slowdowns with a stretch pass instead (see the
+//! `perseus-core` cut docs).
 
 use std::fmt;
 
 use perseus_telemetry::Telemetry;
 
 use crate::graph::FlowGraph;
-use crate::FLOW_EPS;
 
 /// One edge of a bounded flow problem.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,8 +27,6 @@ pub struct BoundedEdge {
     pub src: usize,
     /// Head node.
     pub dst: usize,
-    /// Minimum flow that must pass through this edge.
-    pub lower: f64,
     /// Maximum flow this edge admits. Use [`BoundedFlowProblem::unbounded`]
     /// as a stand-in for infinity; the solver substitutes a capacity that
     /// can never bind.
@@ -35,14 +36,7 @@ pub struct BoundedEdge {
 /// Errors from the bounded max-flow solver.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FlowError {
-    /// No feasible flow satisfies all lower bounds.
-    Infeasible {
-        /// Total lower-bound mass that must be routed.
-        required: f64,
-        /// Mass the feasibility phase managed to route.
-        achieved: f64,
-    },
-    /// An edge has `lower > upper`, or a negative/NaN bound.
+    /// An edge endpoint is out of range, or its bound is negative/NaN.
     InvalidBounds { edge: usize },
     /// Source or sink index out of range, or `s == t`.
     InvalidTerminals,
@@ -51,12 +45,6 @@ pub enum FlowError {
 impl fmt::Display for FlowError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FlowError::Infeasible { required, achieved } => {
-                write!(
-                    f,
-                    "no feasible flow: routed {achieved} of required {required}"
-                )
-            }
             FlowError::InvalidBounds { edge } => write!(f, "edge {edge} has invalid bounds"),
             FlowError::InvalidTerminals => write!(f, "invalid source/sink"),
         }
@@ -65,8 +53,8 @@ impl fmt::Display for FlowError {
 
 impl std::error::Error for FlowError {}
 
-/// A max-flow problem over nodes `0..n` whose edges carry `(lower, upper)`
-/// flow bounds.
+/// A max-flow problem over nodes `0..n` whose edges carry an upper flow
+/// bound (capacity).
 #[derive(Debug, Clone, Default)]
 pub struct BoundedFlowProblem {
     n: usize,
@@ -76,30 +64,19 @@ pub struct BoundedFlowProblem {
 /// Solution of a [`BoundedFlowProblem`].
 #[derive(Debug, Clone, Default)]
 pub struct BoundedFlowSolution {
-    /// Flow on each edge, in insertion order. Satisfies
-    /// `lower <= flow <= upper` and conservation at non-terminals.
-    pub flow: Vec<f64>,
     /// Value of the maximum `s -> t` flow.
     pub value: f64,
     /// `source_side[v]` is true iff `v` lies on the source side of the
     /// minimum cut (reachable from `s` in the final residual network).
     pub source_side: Vec<bool>,
-    /// Augmenting paths the solve pushed (both phases of the transform).
+    /// Augmenting paths the solve pushed.
     pub augmenting_paths: u64,
 }
 
 impl BoundedFlowSolution {
-    /// Edges crossing the cut forward (source side -> sink side). In the
-    /// Capacity DAG these are the computations to **speed up** by `τ`.
-    pub fn forward_cut_edges(&self, problem: &BoundedFlowProblem) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.forward_cut_edges_into(problem, &mut out);
-        out
-    }
-
-    /// [`BoundedFlowSolution::forward_cut_edges`] into a caller-owned
-    /// scratch buffer, so the Phillips–Dessouky loop stops allocating a
-    /// fresh `Vec` per cut.
+    /// Edges crossing the cut forward (source side -> sink side), written
+    /// into a caller-owned scratch buffer. In the Capacity DAG these are
+    /// the computations to **speed up** by `τ`.
     pub fn forward_cut_edges_into(&self, problem: &BoundedFlowProblem, out: &mut Vec<usize>) {
         out.clear();
         out.extend(
@@ -112,16 +89,9 @@ impl BoundedFlowSolution {
         );
     }
 
-    /// Edges crossing the cut backward (sink side -> source side). In the
-    /// Capacity DAG these are the computations to **slow down** by `τ`.
-    pub fn backward_cut_edges(&self, problem: &BoundedFlowProblem) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.backward_cut_edges_into(problem, &mut out);
-        out
-    }
-
-    /// [`BoundedFlowSolution::backward_cut_edges`] into a caller-owned
-    /// scratch buffer (see [`BoundedFlowSolution::forward_cut_edges_into`]).
+    /// Edges crossing the cut backward (sink side -> source side), written
+    /// into a caller-owned scratch buffer. In the Capacity DAG these are
+    /// the computations to **slow down** by `τ`.
     pub fn backward_cut_edges_into(&self, problem: &BoundedFlowProblem, out: &mut Vec<usize>) {
         out.clear();
         out.extend(
@@ -135,16 +105,16 @@ impl BoundedFlowSolution {
     }
 }
 
-/// Reusable state for warm-started [`BoundedFlowProblem::solve_warm_into`]
-/// calls: the translated [`FlowGraph`] of the previous solve plus its
-/// topology signature. When consecutive problems share a topology (same
-/// node count, same edge endpoints in the same order) and differ only in
-/// capacities — exactly the shape of consecutive Phillips–Dessouky
-/// iterations — the cached graph is retuned in place and re-augmented
-/// from the previous flow instead of rebuilt and solved from zero.
+/// Reusable state for [`BoundedFlowProblem::solve`]: the [`FlowGraph`] of
+/// the previous solve plus its topology signature. When consecutive
+/// problems share a topology (same node count, same edge endpoints in the
+/// same order) and differ only in capacities — exactly the shape of
+/// consecutive Phillips–Dessouky iterations — the cached graph is retuned
+/// in place and re-augmented from the previous flow instead of rebuilt and
+/// solved from zero.
 #[derive(Debug, Default)]
 pub struct WarmStart {
-    g2: Option<FlowGraph>,
+    graph: Option<FlowGraph>,
     sig_n: usize,
     /// `(src, dst)` of every edge the cached graph was built for.
     sig: Vec<(usize, usize)>,
@@ -164,13 +134,13 @@ impl WarmStart {
 
     /// Drops the cached graph so the next solve rebuilds from scratch.
     pub fn invalidate(&mut self) {
-        self.g2 = None;
+        self.graph = None;
         self.sig.clear();
         self.sig_n = 0;
     }
 
     fn matches(&self, problem: &BoundedFlowProblem) -> bool {
-        self.g2.is_some()
+        self.graph.is_some()
             && self.sig_n == problem.n
             && self.sig.len() == problem.edges.len()
             && self
@@ -214,14 +184,9 @@ impl BoundedFlowProblem {
         self.edges.clear();
     }
 
-    /// Adds an edge with bounds `(lower, upper)`; returns its index.
-    pub fn add_edge(&mut self, src: usize, dst: usize, lower: f64, upper: f64) -> usize {
-        self.edges.push(BoundedEdge {
-            src,
-            dst,
-            lower,
-            upper,
-        });
+    /// Adds an edge with capacity `upper`; returns its index.
+    pub fn add_edge(&mut self, src: usize, dst: usize, upper: f64) -> usize {
+        self.edges.push(BoundedEdge { src, dst, upper });
         self.edges.len() - 1
     }
 
@@ -230,13 +195,7 @@ impl BoundedFlowProblem {
             return Err(FlowError::InvalidTerminals);
         }
         for (i, e) in self.edges.iter().enumerate() {
-            let bad = e.src >= self.n
-                || e.dst >= self.n
-                || e.lower.is_nan()
-                || e.upper.is_nan()
-                || e.lower < 0.0
-                || e.lower > e.upper;
-            if bad {
+            if e.src >= self.n || e.dst >= self.n || e.upper.is_nan() || e.upper < 0.0 {
                 return Err(FlowError::InvalidBounds { edge: i });
             }
         }
@@ -244,12 +203,11 @@ impl BoundedFlowProblem {
     }
 
     /// Finite stand-in for infinite capacity: larger than any flow that the
-    /// finite edges and lower bounds can carry, but small enough to keep
-    /// `f64` arithmetic accurate at the problem's own scale.
+    /// finite edges can carry, but small enough to keep `f64` arithmetic
+    /// accurate at the problem's own scale.
     fn big(&self) -> f64 {
         let mut total = 1.0;
         for e in &self.edges {
-            total += e.lower;
             if e.upper.is_finite() {
                 total += e.upper;
             }
@@ -257,144 +215,23 @@ impl BoundedFlowProblem {
         total * 4.0
     }
 
-    /// Solves max `s -> t` flow subject to the edge bounds and returns the
-    /// flow plus the minimum cut.
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::Infeasible`] if the lower bounds admit no feasible flow,
-    /// [`FlowError::InvalidBounds`] / [`FlowError::InvalidTerminals`] on
-    /// malformed input.
-    pub fn solve(&self, s: usize, t: usize) -> Result<BoundedFlowSolution, FlowError> {
-        self.solve_with(s, t, &Telemetry::disabled())
-    }
-
-    /// [`BoundedFlowProblem::solve`] with instrumentation: counts solves
-    /// and infeasibility rejections, and threads `telemetry` into both
-    /// inner [`FlowGraph::max_flow_with`] phases.
-    pub fn solve_with(
-        &self,
-        s: usize,
-        t: usize,
-        telemetry: &Telemetry,
-    ) -> Result<BoundedFlowSolution, FlowError> {
-        if telemetry.is_enabled() {
-            telemetry.counter("perseus_flow_bounded_solves_total").inc();
-        }
-        self.validate(s, t)?;
-        let big = self.big();
-        let cap = |u: f64| if u.is_finite() { u } else { big };
-
-        // Phase 1: feasibility via dummy terminals (Algorithm 3 lines 1-10).
-        let sp = self.n; // s'
-        let tp = self.n + 1; // t'
-        let mut g1 = FlowGraph::new(self.n + 2);
-        let mut required = 0.0;
-        let mut in_lower = vec![0.0f64; self.n];
-        let mut out_lower = vec![0.0f64; self.n];
-        let mut phase1_edges = Vec::with_capacity(self.edges.len());
-        for e in &self.edges {
-            in_lower[e.dst] += e.lower;
-            out_lower[e.src] += e.lower;
-            phase1_edges.push(g1.add_edge(e.src, e.dst, cap(e.upper) - e.lower));
-        }
-        for v in 0..self.n {
-            if in_lower[v] > 0.0 {
-                g1.add_edge(sp, v, in_lower[v]);
-                required += in_lower[v];
-            }
-            if out_lower[v] > 0.0 {
-                g1.add_edge(v, tp, out_lower[v]);
-            }
-        }
-        g1.add_edge(t, s, big);
-        let achieved = g1.max_flow_with(sp, tp, telemetry);
-        let phase1_paths = g1.last_augmentations();
-        // Saturation check (Algorithm 3 line 9), with a relative tolerance.
-        let tol = FLOW_EPS * required.max(1.0);
-        if achieved + tol < required {
-            if telemetry.is_enabled() {
-                telemetry.counter("perseus_flow_infeasible_total").inc();
-            }
-            return Err(FlowError::Infeasible { required, achieved });
-        }
-
-        // Phase 2: translate back (f = f' + l) and augment s -> t on the
-        // residual network (Algorithm 3 lines 11-16).
-        let mut g2 = FlowGraph::new(self.n);
-        let mut phase2_edges = Vec::with_capacity(self.edges.len());
-        let mut base_flow = Vec::with_capacity(self.edges.len());
-        for (i, e) in self.edges.iter().enumerate() {
-            let f = g1.flow_on(phase1_edges[i]) + e.lower;
-            base_flow.push(f);
-            let fwd = (cap(e.upper) - f).max(0.0);
-            let back = (f - e.lower).max(0.0);
-            phase2_edges.push(g2.add_edge_with_back(e.src, e.dst, fwd, back));
-        }
-        let extra = g2.max_flow_with(s, t, telemetry);
-        let source_side = g2.residual_reachable(s);
-
-        let mut flow = Vec::with_capacity(self.edges.len());
-        for (i, e) in self.edges.iter().enumerate() {
-            let f = base_flow[i] + g2.flow_on(phase2_edges[i]);
-            // Clamp floating-point crumbs back into the bounds.
-            flow.push(f.clamp(e.lower, cap(e.upper)));
-        }
-        // The s -> t value is the net outflow of s.
-        let mut value = 0.0;
-        for (i, e) in self.edges.iter().enumerate() {
-            if e.src == s {
-                value += flow[i];
-            }
-            if e.dst == s {
-                value -= flow[i];
-            }
-        }
-        let _ = extra;
-        Ok(BoundedFlowSolution {
-            flow,
-            value,
-            source_side,
-            augmenting_paths: phase1_paths + g2.last_augmentations(),
-        })
-    }
-
-    /// [`BoundedFlowProblem::solve_warm_into`] returning a fresh solution
-    /// (telemetry disabled).
-    pub fn solve_warm(
-        &self,
-        s: usize,
-        t: usize,
-        warm: &mut WarmStart,
-    ) -> Result<BoundedFlowSolution, FlowError> {
-        let mut out = BoundedFlowSolution::default();
-        self.solve_warm_into(s, t, warm, &mut out, &Telemetry::disabled())?;
-        Ok(out)
-    }
-
-    /// Warm-started [`BoundedFlowProblem::solve_with`] writing into a
-    /// caller-owned solution. Returns `Ok(true)` when the previous solve's
-    /// flow was reused ([`FlowGraph::retune_edge`] +
+    /// Solves max `s -> t` flow subject to the edge capacities, writing the
+    /// minimum cut into `out`. Returns `Ok(true)` when `warm`'s cached flow
+    /// was reused ([`FlowGraph::retune_edge`] +
     /// [`FlowGraph::max_flow_incremental_with`]), `Ok(false)` on a cold
-    /// (re)build.
-    ///
-    /// The fast path requires every lower bound to be zero — then the
-    /// feasibility phase of Algorithm 3 trivially routes nothing, the
-    /// residual translation is the identity, and the whole solve reduces
-    /// to one plain max flow whose graph can persist across calls. That is
-    /// exactly the relaxed-lower-bound formulation `cut.rs` uses. Any
-    /// nonzero lower bound invalidates the handle and falls back to
-    /// [`BoundedFlowProblem::solve_with`].
+    /// (re)build. Call [`WarmStart::invalidate`] first to force a cold
+    /// solve.
     ///
     /// The minimal source-side min cut is unique across all maximum flows,
     /// so `out.source_side` (and everything derived from it) is identical
-    /// to what the cold path produces; `out.flow`/`out.value` describe a
-    /// valid maximum flow but may be a different decomposition of it.
+    /// on the warm and cold paths; `out.value` agrees up to the rounding of
+    /// a different augmentation order.
     ///
     /// # Errors
     ///
-    /// Same contract as [`BoundedFlowProblem::solve`].
-    pub fn solve_warm_into(
+    /// [`FlowError::InvalidBounds`] / [`FlowError::InvalidTerminals`] on
+    /// malformed input.
+    pub fn solve(
         &self,
         s: usize,
         t: usize,
@@ -402,12 +239,6 @@ impl BoundedFlowProblem {
         out: &mut BoundedFlowSolution,
         telemetry: &Telemetry,
     ) -> Result<bool, FlowError> {
-        if self.edges.iter().any(|e| e.lower != 0.0) {
-            warm.invalidate();
-            warm.misses += 1;
-            *out = self.solve_with(s, t, telemetry)?;
-            return Ok(false);
-        }
         if telemetry.is_enabled() {
             telemetry.counter("perseus_flow_bounded_solves_total").inc();
         }
@@ -418,64 +249,47 @@ impl BoundedFlowProblem {
         let hit = warm.matches(self);
         if hit {
             warm.hits += 1;
-            let g2 = warm.g2.as_mut().expect("matches() implies a cached graph");
+            let g = warm
+                .graph
+                .as_mut()
+                .expect("matches() implies a cached graph");
             for (i, e) in self.edges.iter().enumerate() {
-                g2.retune_edge(i, cap(e.upper));
+                g.retune_edge(i, cap(e.upper));
             }
-            g2.max_flow_incremental_with(s, t, telemetry);
+            g.max_flow_incremental_with(s, t, telemetry);
         } else {
             warm.misses += 1;
-            let mut g2 = FlowGraph::new(self.n);
+            let mut g = FlowGraph::new(self.n);
             for e in &self.edges {
-                g2.add_edge(e.src, e.dst, cap(e.upper));
+                g.add_edge(e.src, e.dst, cap(e.upper));
             }
-            g2.max_flow_with(s, t, telemetry);
+            g.max_flow_with(s, t, telemetry);
             warm.sig_n = self.n;
             warm.sig.clear();
             warm.sig.extend(self.edges.iter().map(|e| (e.src, e.dst)));
-            warm.g2 = Some(g2);
+            warm.graph = Some(g);
         }
 
         let WarmStart {
-            g2, seen, stack, ..
+            graph, seen, stack, ..
         } = warm;
-        let g2 = g2.as_ref().expect("graph cached just above");
-        g2.residual_reachable_into(s, seen, stack);
+        let g = graph.as_ref().expect("graph cached just above");
+        g.residual_reachable_into(s, seen, stack);
         out.source_side.clear();
         out.source_side.extend_from_slice(seen);
-        out.flow.clear();
-        for (i, e) in self.edges.iter().enumerate() {
-            // Clamp floating-point crumbs back into the bounds.
-            out.flow.push(g2.flow_on(i).clamp(0.0, cap(e.upper)));
-        }
-        // The s -> t value is the net outflow of s.
-        let mut value = 0.0;
-        for (i, e) in self.edges.iter().enumerate() {
-            if e.src == s {
-                value += out.flow[i];
-            }
-            if e.dst == s {
-                value -= out.flow[i];
-            }
-        }
-        out.value = value;
-        out.augmenting_paths = g2.last_augmentations();
+        out.value = g.flow_value(s);
+        out.augmenting_paths = g.last_augmentations();
         Ok(hit)
     }
 
-    /// Capacity of the cut described by `source_side`: sum of the upper
-    /// bounds of forward-crossing edges minus the lower bounds of
-    /// backward-crossing edges (the Ford–Fulkerson cut value with lower
-    /// bounds). Infinite if a forward edge is unbounded.
+    /// Capacity of the cut described by `source_side`: the sum of the
+    /// upper bounds of forward-crossing edges. Infinite if a forward edge
+    /// is unbounded.
     pub fn cut_capacity(&self, source_side: &[bool]) -> f64 {
-        let mut c = 0.0;
-        for e in &self.edges {
-            if source_side[e.src] && !source_side[e.dst] {
-                c += e.upper; // may be +inf
-            } else if !source_side[e.src] && source_side[e.dst] {
-                c -= e.lower;
-            }
-        }
-        c
+        self.edges
+            .iter()
+            .filter(|e| source_side[e.src] && !source_side[e.dst])
+            .map(|e| e.upper)
+            .sum()
     }
 }

@@ -2,16 +2,23 @@
 //!
 //! `GetNextPareto` (paper §4.3, Appendix D) finds the cheapest way to
 //! shorten every critical path by the unit time `τ` by solving a minimum
-//! cut on a *Capacity DAG* whose edges carry both **lower and upper** flow
-//! bounds. This crate implements:
+//! cut on a *Capacity DAG*. This crate implements:
 //!
 //! * [`FlowGraph`] — a residual-pair network with Dinic max flow (the paper
 //!   analyzes Edmonds–Karp; Dinic has the same answers, faster)
-//!   ([`FlowGraph::max_flow`]) and residual reachability for min-cut
-//!   extraction,
-//! * [`BoundedFlowProblem`] — max flow with edge lower bounds via the
-//!   dummy-source/sink transformation (paper Algorithm 3), returning the
-//!   min cut of the original network.
+//!   ([`FlowGraph::max_flow`]), in-place capacity retuning with warm
+//!   re-augmentation, and residual reachability for min-cut extraction,
+//! * [`BoundedFlowProblem`] — a capacity-only min-cut problem whose single
+//!   entry point, [`BoundedFlowProblem::solve`], reuses the previous
+//!   solve's flow through a [`WarmStart`] handle when the topology is
+//!   unchanged.
+//!
+//! The paper's Capacity DAG also carries edge *lower* bounds (Eq. 8), which
+//! its Algorithm 3 handles with a dummy-terminal feasibility phase. That
+//! phase is not implemented here: the planner sets every lower bound to
+//! zero, where the feasibility phase routes nothing, and reclaims the
+//! slowdowns the lower bounds would have rewarded with a stretch pass
+//! after each step.
 //!
 //! # Examples
 //!
@@ -44,20 +51,8 @@ mod graph;
 /// the final residual network.
 pub const CAP_EPS: f64 = 1e-12;
 
-/// Relative flow-conservation epsilon: feasibility checks accept a routed
-/// mass within `FLOW_EPS` × the required total (floored at 1.0 so tiny
-/// problems are not held to sub-ulp standards).
-///
-/// Why `1e-9`: the feasibility phase sums many per-edge lower bounds and
-/// compares against a max-flow total accumulated over as many
-/// augmentations; each contributes ~`1e-16` relative error, and `1e-9`
-/// gives the comparison three orders of headroom over thousands of edges
-/// while still rejecting any genuinely unroutable lower bound (which
-/// misses by whole edge-capacities, not parts per billion).
-pub const FLOW_EPS: f64 = 1e-9;
-
 pub use bounded::{BoundedEdge, BoundedFlowProblem, BoundedFlowSolution, FlowError, WarmStart};
-pub use graph::{FlowGraph, FlowTopology, ResidualState};
+pub use graph::FlowGraph;
 
 #[cfg(test)]
 mod tests;
