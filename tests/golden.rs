@@ -185,3 +185,146 @@ fn metrics_snapshot_matches_golden_fixture() {
         "metrics_snapshot.txt",
     );
 }
+
+// ---- Frontier digests: every bit of every characterized frontier ----
+
+/// FNV-1a 64 over little-endian `u64` words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn floats(&mut self, xs: &[f64]) {
+        for x in xs {
+            self.word(x.to_bits());
+        }
+    }
+}
+
+/// Digest of every bit a frontier carries: per point the planned and
+/// realized time/energy scalars, then every planned duration, realized
+/// duration, realized energy and assigned frequency (`u64::MAX` for
+/// nodes without one).
+fn frontier_digest(frontier: &perseus::core::ParetoFrontier) -> u64 {
+    let mut h = Fnv::new();
+    for p in frontier.points() {
+        let s = &p.schedule;
+        h.floats(&[p.planned_time_s, p.planned_energy_j, s.time_s, s.compute_j]);
+        h.floats(&s.planned);
+        h.floats(&s.realized_dur);
+        h.floats(&s.realized_energy);
+        for f in &s.freqs {
+            h.word(f.map_or(u64::MAX, |f| u64::from(f.0)));
+        }
+    }
+    h.0
+}
+
+/// Stage workloads of `model` split `n_stages` ways on `gpu`, the way
+/// `solver_suite` builds its pipelines.
+fn stage_workloads(
+    model: &perseus::models::ModelSpec,
+    gpu: &perseus::gpu::GpuSpec,
+    n_stages: usize,
+) -> Vec<perseus::models::StageWorkloads> {
+    let weights = model.fwd_latency_weights(gpu);
+    let partition = perseus::models::min_imbalance_partition(&weights, n_stages).expect("split");
+    model.stage_workloads(&partition, gpu).expect("stages")
+}
+
+/// Frontier digests, one line per case: `name points digest`. Any change
+/// to the solver that moves a single bit of any frontier point fails
+/// here, which the warm-vs-cold gates of `solver_suite` (both sides run
+/// the same binary) cannot see. Regenerate deliberately:
+///
+/// ```text
+/// UPDATE_GOLDEN=1 cargo test --release --test golden frontier_digests
+/// ```
+#[test]
+fn frontier_digests_match_golden_fixture() {
+    use perseus::core::{FrontierOptions, FrontierSolver, PlanContext};
+    use perseus::gpu::{FreqMHz, GpuSpec};
+    use perseus::models::zoo;
+    use perseus::pipeline::{PipelineBuilder, ScheduleKind};
+
+    let mut lines = Vec::new();
+    let mut record = |name: &str, frontier: &perseus::core::ParetoFrontier| {
+        lines.push(format!(
+            "{name} {} {:016x}",
+            frontier.len(),
+            frontier_digest(frontier)
+        ));
+    };
+
+    let a40 = GpuSpec::a40();
+    let stages = stage_workloads(&zoo::gpt3_6_7b(4), &a40, 32);
+    let pipe = PipelineBuilder::new(ScheduleKind::OneFOneB, 32, 8)
+        .build()
+        .expect("pipe");
+    let ctx = PlanContext::from_model_profiles(&pipe, &a40, &stages).expect("ctx");
+    let opts = FrontierOptions {
+        tau_s: Some(1e-3),
+        ..FrontierOptions::default()
+    };
+    let deep = FrontierSolver::new(&pipe)
+        .characterize(&ctx, &opts)
+        .expect("characterize");
+    record("gpt3-6.7b/a40/1f1b-32x8/tau1ms", &deep);
+    let clamped = deep.clamp_to_freq_cap(&ctx, FreqMHz(1200)).expect("clamp");
+    record("gpt3-6.7b/a40/1f1b-32x8/tau1ms/cap1200", &clamped);
+
+    let a100 = GpuSpec::a100_pcie();
+    let stages = stage_workloads(&zoo::gpt3_xl(4), &a100, 4);
+    let pipe = PipelineBuilder::new(ScheduleKind::GPipe, 4, 6)
+        .build()
+        .expect("pipe");
+    let ctx = PlanContext::from_model_profiles(&pipe, &a100, &stages).expect("ctx");
+    for (name, opts) in [
+        ("default", FrontierOptions::default()),
+        (
+            "no-stretch",
+            FrontierOptions {
+                stretch: false,
+                ..FrontierOptions::default()
+            },
+        ),
+        (
+            "cold",
+            FrontierOptions {
+                warm_start: false,
+                ..FrontierOptions::default()
+            },
+        ),
+    ] {
+        let frontier = FrontierSolver::new(&pipe)
+            .characterize(&ctx, &opts)
+            .expect("characterize");
+        record(&format!("gpt3-xl/a100/gpipe-4x6/{name}"), &frontier);
+    }
+
+    let got = lines.join("\n") + "\n";
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(
+            concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/tests/golden/frontier_digests.txt"
+            ),
+            &got,
+        )
+        .expect("write fixture");
+    }
+    assert_matches_golden(
+        &got,
+        include_str!("golden/frontier_digests.txt"),
+        "frontier_digests.txt",
+    );
+}
