@@ -18,8 +18,10 @@
 //!      produces frontiers bit-identical to fresh sequential solves over
 //!      a mixed bag of pipeline shapes.
 //!
-//! Stdout is deterministic: path counts, hit counts, and gate verdicts
-//! only. Wall-clock timings go to **stderr** and, with
+//! Stdout is deterministic: path counts, hit counts, timing-pass counts,
+//! and gate verdicts only. Wall-clock timings — including the per-phase
+//! split of each deep characterization (timing, critical, contract,
+//! cut_solve, recheck, stretch, realize) — go to **stderr** and, with
 //! `--bench-json <path>`, into the machine-readable artifact alongside
 //! the counter extras. With `--metrics`, the telemetry snapshot is
 //! printed to stderr; stdout stays byte-identical to the metrics-free
@@ -36,6 +38,30 @@ use perseus_core::{FrontierOptions, FrontierSolver, ParetoFrontier, PlanContext,
 use perseus_gpu::GpuSpec;
 use perseus_models::{min_imbalance_partition, zoo};
 use perseus_pipeline::{PipelineBuilder, PipelineDag, ScheduleKind};
+use perseus_telemetry::Telemetry;
+
+/// The `phase` labels of `perseus_characterize_phase_seconds_total`.
+const PHASES: [&str; 7] = [
+    "timing",
+    "critical",
+    "contract",
+    "cut_solve",
+    "recheck",
+    "stretch",
+    "realize",
+];
+
+/// Characterization seconds per phase recorded in `tel` so far.
+fn phase_seconds(tel: &Telemetry) -> [f64; 7] {
+    let snap = tel.snapshot();
+    PHASES.map(|phase| {
+        snap.value_of(
+            "perseus_characterize_phase_seconds_total",
+            &[("phase", phase)],
+        )
+        .unwrap_or(0.0)
+    })
+}
 
 fn arg_str(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -144,19 +170,30 @@ fn main() {
     let deep = Workbench::build(&model, &gpu, 32, n_microbatches);
     let ctx = deep.ctx();
 
-    let run = |warm_start: bool| -> (ParetoFrontier, SolverStats, f64) {
-        let solver = FrontierSolver::with_telemetry(&deep.pipe, tel.clone());
+    // Phase seconds are recorded only on enabled telemetry, so the deep
+    // runs always record into one (the suite's own under --metrics).
+    let deep_tel = if tel.is_enabled() {
+        tel.clone()
+    } else {
+        Telemetry::enabled()
+    };
+    let run = |warm_start: bool| -> (ParetoFrontier, SolverStats, f64, [f64; 7]) {
+        let solver = FrontierSolver::with_telemetry(&deep.pipe, deep_tel.clone());
         let opts = FrontierOptions {
             warm_start,
             tau_s,
             ..FrontierOptions::default()
         };
+        let before = phase_seconds(&deep_tel);
         let t0 = Instant::now();
         let frontier = solver.characterize(&ctx, &opts).expect("characterize");
-        (frontier, solver.stats(), t0.elapsed().as_secs_f64())
+        let wall_s = t0.elapsed().as_secs_f64();
+        let after = phase_seconds(&deep_tel);
+        let phases = std::array::from_fn(|i| after[i] - before[i]);
+        (frontier, solver.stats(), wall_s, phases)
     };
-    let (cold_frontier, cold, cold_s) = run(false);
-    let (warm_frontier, warm, warm_s) = run(true);
+    let (cold_frontier, cold, cold_s, cold_phases) = run(false);
+    let (warm_frontier, warm, warm_s, warm_phases) = run(true);
 
     println!("== Solver suite: GPT-3 6.7B, 32 stages x 32 microbatches, A40 ==");
     println!(
@@ -172,7 +209,23 @@ fn main() {
     );
     let ratio = cold.augmenting_paths as f64 / warm.augmenting_paths.max(1) as f64;
     println!("cold/warm path ratio         {:>12.2}x", ratio);
+    println!(
+        "full timing passes           {:>12}",
+        warm.full_timing_passes
+    );
+    println!(
+        "forward timing passes        {:>12}",
+        warm.forward_timing_passes
+    );
     eprintln!("cold characterize: {cold_s:.3} s, warm characterize: {warm_s:.3} s");
+    for (name, phases) in [("cold", cold_phases), ("warm", warm_phases)] {
+        let split: Vec<String> = PHASES
+            .iter()
+            .zip(phases)
+            .map(|(phase, secs)| format!("{phase} {secs:.3}"))
+            .collect();
+        eprintln!("{name} phases (s): {}", split.join(", "));
+    }
 
     let mut failed = false;
 
@@ -251,7 +304,7 @@ fn main() {
 
     if let Some(path) = bench_json {
         let report = warm_frontier.fastest().schedule.energy_report(&ctx, None);
-        let entry = perseus_bench::BenchEntry {
+        let mut entry = perseus_bench::BenchEntry {
             name: "solver_suite/gpt3_6_7b_32stage".into(),
             wall_time_s: cold_s + warm_s + par_s,
             total_energy_j: report.total_j(),
@@ -265,7 +318,14 @@ fn main() {
         .with_extra("warm_start_hits", warm.warm_start_hits as f64)
         .with_extra("augmenting_paths_saved", warm.augmenting_paths_saved as f64)
         .with_extra("cold_warm_path_ratio", ratio)
-        .with_extra("frontier_points", warm_frontier.points().len() as f64);
+        .with_extra("frontier_points", warm_frontier.points().len() as f64)
+        .with_extra("full_timing_passes", warm.full_timing_passes as f64)
+        .with_extra("forward_timing_passes", warm.forward_timing_passes as f64)
+        .with_extra("cold_characterize_s", cold_s)
+        .with_extra("warm_characterize_s", warm_s);
+        for (phase, secs) in PHASES.iter().zip(warm_phases) {
+            entry = entry.with_extra(format!("warm_phase_{phase}_s"), secs);
+        }
         perseus_bench::write_bench_json(path.as_ref(), &[entry]).expect("write bench json");
     }
     if failed {

@@ -2,7 +2,9 @@
 //! path by (up to) the unit time `τ` with the minimum possible energy
 //! increase, via a minimum cut on the Capacity DAG.
 
-use perseus_dag::{CriticalDag, Dag, NodeId, TimingAnalysis};
+use std::time::Instant;
+
+use perseus_dag::{Dag, NodeId};
 use perseus_flow::{BoundedFlowProblem, BoundedFlowSolution, WarmStart};
 use perseus_pipeline::PipelineDag;
 use perseus_telemetry::{span, Telemetry};
@@ -44,6 +46,18 @@ pub struct CutSolver {
     ec: Dag<(), EcEdge>,
     halves: Vec<(NodeId, NodeId)>,
     order: Vec<NodeId>,
+}
+
+impl EcEdge {
+    /// Current duration of this edge under the planned pipeline durations.
+    #[inline]
+    fn duration(&self, planned: &[f64]) -> f64 {
+        match self {
+            EcEdge::Comp(n) => planned[n.index()],
+            EcEdge::Fixed(t) => *t,
+            EcEdge::Dep => 0.0,
+        }
+    }
 }
 
 impl CutSolver {
@@ -95,23 +109,130 @@ pub struct ArenaStats {
     pub augmenting_paths: u64,
     /// Estimated paths avoided by warm starts (see type docs).
     pub augmenting_paths_saved: u64,
+    /// Forward/backward critical-path passes over the edge-centric DAG
+    /// (exactly one per step).
+    pub full_timing_passes: u64,
+    /// Forward-only makespan passes of the post-cut re-check (one or two
+    /// per step that applies a cut).
+    pub forward_timing_passes: u64,
+}
+
+/// A phase of one characterization, for wall-time attribution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Phase {
+    /// Forward/backward timing pass (and the sweep's own bookkeeping).
+    Timing,
+    /// Critical-edge mask and per-node critical degrees.
+    Critical,
+    /// Capacities and series contraction into the flow problem.
+    Contract,
+    /// Max-flow solve and min-cut extraction.
+    CutSolve,
+    /// Applying the cut and the forward-only makespan re-check.
+    Recheck,
+    /// Stretch-into-slack pass and recording the step's durations.
+    Stretch,
+    /// Lowering the kept points to frequencies after the sweep.
+    Realize,
+}
+
+impl Phase {
+    const ALL: [Phase; 7] = [
+        Phase::Timing,
+        Phase::Critical,
+        Phase::Contract,
+        Phase::CutSolve,
+        Phase::Recheck,
+        Phase::Stretch,
+        Phase::Realize,
+    ];
+
+    fn label(self) -> &'static str {
+        match self {
+            Phase::Timing => "timing",
+            Phase::Critical => "critical",
+            Phase::Contract => "contract",
+            Phase::CutSolve => "cut_solve",
+            Phase::Recheck => "recheck",
+            Phase::Stretch => "stretch",
+            Phase::Realize => "realize",
+        }
+    }
+}
+
+/// Lap timer attributing a characterization's wall time to [`Phase`]s:
+/// each [`PhaseClock::lap`] charges the time since the previous lap to the
+/// named phase. It reads the clock only once started on enabled
+/// telemetry, so disabled telemetry never pays for it.
+#[derive(Debug, Default)]
+pub(crate) struct PhaseClock {
+    last: Option<Instant>,
+    secs: [f64; Phase::ALL.len()],
+}
+
+impl PhaseClock {
+    /// Starts the clock if `telemetry` records and it is not running yet.
+    pub(crate) fn start(&mut self, telemetry: &Telemetry) {
+        if self.last.is_none() {
+            self.last = telemetry.now();
+        }
+    }
+
+    /// Charges the time since the previous lap to `phase`.
+    #[inline]
+    pub(crate) fn lap(&mut self, phase: Phase) {
+        if let Some(last) = self.last {
+            let now = Instant::now();
+            self.secs[phase as usize] += now.duration_since(last).as_secs_f64();
+            self.last = Some(now);
+        }
+    }
+
+    /// Adds the accumulated seconds to
+    /// `perseus_characterize_phase_seconds_total{phase}`.
+    pub(crate) fn emit(&self, telemetry: &Telemetry) {
+        for phase in Phase::ALL {
+            telemetry
+                .float_counter_with(
+                    "perseus_characterize_phase_seconds_total",
+                    &[("phase", phase.label())],
+                )
+                .add(self.secs[phase as usize]);
+        }
+    }
 }
 
 /// Preallocated workspace for the Phillips–Dessouky iteration: every
-/// buffer `get_next_pareto_arena` needs — the compacted
-/// [`BoundedFlowProblem`], its solution, the contraction maps, cut
-/// scratch — plus the [`WarmStart`] handle that carries the previous
-/// iteration's max flow forward. Build one per pipeline characterization
-/// and reuse it across all frontier steps; consecutive steps patch
-/// capacities into the same buffers instead of reallocating, and (while
-/// the critical topology is stable) re-augment instead of re-solving.
+/// buffer `get_next_pareto_arena` needs — the timing passes, the
+/// critical-edge mask over the fixed edge-centric DAG, the per-node
+/// capacity cache, the compacted [`BoundedFlowProblem`] and its solution,
+/// the contraction maps, cut scratch — plus the [`WarmStart`] handle that
+/// carries the previous iteration's max flow forward. Build one per
+/// pipeline characterization and reuse it across all frontier steps;
+/// consecutive steps patch capacities into the same buffers instead of
+/// reallocating, and (while the critical topology is stable) re-augment
+/// instead of re-solving. An arena serves one [`PlanContext`]: its
+/// capacity cache is keyed by planned durations and τ only.
 #[derive(Debug)]
 pub struct SolverArena {
     warm: WarmStart,
     warm_enabled: bool,
     problem: BoundedFlowProblem,
     sol: BoundedFlowSolution,
-    caps: Vec<EdgeCap>,
+    /// Duration of every edge-centric edge at the current step.
+    edge_dur: Vec<f64>,
+    earliest: Vec<f64>,
+    latest: Vec<f64>,
+    /// Critical-edge mask over the edge-centric DAG.
+    critical: Vec<bool>,
+    /// Critical in/out degree of every edge-centric node.
+    crit_in: Vec<u32>,
+    crit_out: Vec<u32>,
+    /// Per pipeline node: the capacity annotation last computed for it,
+    /// keyed by the planned duration's bits.
+    cap_cache: Vec<Option<(u64, EdgeCap)>>,
+    /// τ bits the cache was filled under.
+    cap_tau: u64,
     contractible: Vec<bool>,
     compact: Vec<Option<usize>>,
     edge_meta: Vec<(Option<NodeId>, Option<NodeId>)>,
@@ -122,6 +243,7 @@ pub struct SolverArena {
     /// baseline).
     last_cold_paths: u64,
     stats: ArenaStats,
+    pub(crate) clock: PhaseClock,
 }
 
 impl Default for SolverArena {
@@ -138,7 +260,14 @@ impl SolverArena {
             warm_enabled: true,
             problem: BoundedFlowProblem::default(),
             sol: BoundedFlowSolution::default(),
-            caps: Vec::new(),
+            edge_dur: Vec::new(),
+            earliest: Vec::new(),
+            latest: Vec::new(),
+            critical: Vec::new(),
+            crit_in: Vec::new(),
+            crit_out: Vec::new(),
+            cap_cache: Vec::new(),
+            cap_tau: 0,
             contractible: Vec::new(),
             compact: Vec::new(),
             edge_meta: Vec::new(),
@@ -147,6 +276,7 @@ impl SolverArena {
             backup: Vec::new(),
             last_cold_paths: 0,
             stats: ArenaStats::default(),
+            clock: PhaseClock::default(),
         }
     }
 
@@ -180,6 +310,63 @@ struct EdgeCap {
     slow_gain: f64,
 }
 
+impl EdgeCap {
+    /// An unmodifiable edge: unbounded capacity, nothing to speed or slow.
+    fn fixed() -> EdgeCap {
+        EdgeCap {
+            upper: BoundedFlowProblem::unbounded(),
+            speed: None,
+            slow: None,
+            slow_gain: 0.0,
+        }
+    }
+
+    /// Appendix D Eq. 8 capacity of computation `n` at planned duration
+    /// `tcur` — a pure function of `(n, tcur, τ)`, which is what lets the
+    /// arena cache it per node.
+    fn of_comp(ctx: &PlanContext<'_>, n: NodeId, tcur: f64, tau: f64) -> EdgeCap {
+        let info = ctx.info(n).expect("comp node has plan info");
+        let tiny = tau * 1e-9;
+        let can_speed = tcur > info.t_min + tiny;
+        let can_slow = tcur < info.t_max - tiny;
+        // Price the capacities over steps CLAMPED to the measured range,
+        // normalized back to a per-τ rate so edges stay comparable.
+        // Evaluating the exponential below t_min (or above t_max)
+        // extrapolates where it was never fitted and can blow capacities
+        // up by orders of magnitude, which both misprices the cut and
+        // poisons the flow solver's relative epsilon.
+        let e_plus = if can_speed {
+            let t_to = (tcur - tau).max(info.t_min);
+            (info.fit.energy(t_to) - info.fit.energy(tcur)).max(0.0) * (tau / (tcur - t_to))
+        } else {
+            0.0
+        };
+        let e_minus = if can_slow {
+            let t_to = (tcur + tau).min(info.t_max);
+            (info.fit.energy(tcur) - info.fit.energy(t_to)).max(0.0) * (tau / (t_to - tcur))
+        } else {
+            0.0
+        };
+        // The Eq. 8 slowdown rewards e⁻ are not lower bounds here: the
+        // post-step stretch pass (see `characterize`) reclaims every gap a
+        // backward-crossing slowdown would have exploited, because the
+        // fitted energy is decreasing on [t_min, t_max] — zero-slack
+        // schedules dominate. e⁻ only breaks ties for which chain member
+        // to slow when a backward cut edge does appear. A computation
+        // that cannot speed up (already fastest) is uncuttable.
+        EdgeCap {
+            upper: if can_speed {
+                e_plus
+            } else {
+                BoundedFlowProblem::unbounded()
+            },
+            speed: can_speed.then_some(n),
+            slow: can_slow.then_some(n),
+            slow_gain: if can_slow { e_minus } else { 0.0 },
+        }
+    }
+}
+
 /// One step along the frontier: reduce the DAG's execution time with
 /// minimal energy increase, against a prebuilt [`CutSolver`] and a
 /// reusable [`SolverArena`].
@@ -206,9 +393,17 @@ struct EdgeCap {
 ///   into its schedule gap after each step, which dominates any
 ///   backward-crossing slowdown because fitted energy decreases on
 ///   `[t_min, t_max]`.
+/// * **Critical-edge mask** — the Critical DAG is never materialized: one
+///   timing pass marks the zero-slack edges of the fixed edge-centric DAG
+///   in an arena mask, with per-node critical degrees, and contraction
+///   walks that mask (nodes by ascending id, out-edges in insertion
+///   order — the order a filtered copy of the graph would have).
 /// * **Series contraction** — chains of degree-(1,1) nodes in the Critical
 ///   DAG compose as `upper = min`; a cut crosses a chain at its cheapest
 ///   edge.
+/// * **Cached capacities** — a computation's Eq. 8 annotation is a pure
+///   function of its planned duration, and a step changes only a handful
+///   of durations, so the arena recomputes it only when those bits change.
 /// * **Warm starts** — the compacted problem, solution, and cut buffers
 ///   live in the arena (capacity patches instead of rebuilds), and when
 ///   consecutive calls produce the same compacted topology — the common
@@ -235,7 +430,14 @@ pub fn get_next_pareto_arena(
         warm_enabled,
         problem,
         sol,
-        caps,
+        edge_dur,
+        earliest,
+        latest,
+        critical,
+        crit_in,
+        crit_out,
+        cap_cache,
+        cap_tau,
         contractible,
         compact,
         edge_meta,
@@ -244,15 +446,18 @@ pub fn get_next_pareto_arena(
         backup,
         last_cold_paths,
         stats,
+        clock,
     } = arena;
-    let (ec, halves) = (&solver.ec, &solver.halves);
-    let dur = |_: perseus_dag::EdgeId, e: &EcEdge| match e {
-        EcEdge::Comp(n) => planned[n.index()],
-        EcEdge::Fixed(t) => *t,
-        EcEdge::Dep => 0.0,
-    };
-    let timing = TimingAnalysis::compute_with_order(ec, &solver.order, dur);
-    let makespan = timing.makespan;
+    clock.start(telemetry);
+    let (ec, halves, order) = (&solver.ec, &solver.halves, &solver.order);
+
+    edge_dur.clear();
+    edge_dur.extend(ec.edge_refs().map(|r| r.payload.duration(planned)));
+    let makespan = forward_pass(ec, order, edge_dur, earliest);
+    backward_pass(ec, order, edge_dur, makespan, latest);
+    stats.full_timing_passes += 1;
+    clock.lap(Phase::Timing);
+
     // Slack below τ/2 counts as critical: folding near-critical paths into
     // the cut guarantees each iteration advances by at least ~τ/2 (instead
     // of crawling from one microscopic slack event to the next) while
@@ -260,126 +465,87 @@ pub fn get_next_pareto_arena(
     // conservative cut — a few more edges constrained than strictly
     // necessary — which costs marginal energy, not correctness.
     let tol = (tau * 0.5).max(makespan * 1e-12);
-
-    let crit: CriticalDag<(), EcEdge> = CriticalDag::extract(ec, &timing, dur, tol);
-
-    // The split edges of the pipeline source/sink are always critical.
-    let (source_in, _) = halves[ctx.pipe.source.index()];
-    let (_, sink_out) = halves[ctx.pipe.sink.index()];
-    let (Some(s), Some(t)) = (
-        crit.node_map[source_in.index()],
-        crit.node_map[sink_out.index()],
-    ) else {
-        return CutOutcome::AtMinimumTime;
-    };
-
-    // Annotate each critical edge with its Eq. 8 capacity interval.
-    let inf = BoundedFlowProblem::unbounded();
-    let tiny = tau * 1e-9;
-    let cg = &crit.graph;
-    caps.clear();
-    caps.extend(cg.edge_refs().map(|r| match r.payload {
-        EcEdge::Comp(n) => {
-            let info = ctx.info(*n).expect("comp node has plan info");
-            let tcur = planned[n.index()];
-            let can_speed = tcur > info.t_min + tiny;
-            let can_slow = tcur < info.t_max - tiny;
-            // Price the capacities over steps CLAMPED to the measured
-            // range, normalized back to a per-τ rate so edges stay
-            // comparable. Evaluating the exponential below t_min (or
-            // above t_max) extrapolates where it was never fitted and
-            // can blow capacities up by orders of magnitude, which both
-            // misprices the cut and poisons the flow solver's relative
-            // epsilon.
-            let e_plus = if can_speed {
-                let t_to = (tcur - tau).max(info.t_min);
-                (info.fit.energy(t_to) - info.fit.energy(tcur)).max(0.0) * (tau / (tcur - t_to))
-            } else {
-                0.0
-            };
-            let e_minus = if can_slow {
-                let t_to = (tcur + tau).min(info.t_max);
-                (info.fit.energy(tcur) - info.fit.energy(t_to)).max(0.0) * (tau / (t_to - tcur))
-            } else {
-                0.0
-            };
-            // The Eq. 8 slowdown rewards e⁻ are not lower bounds here:
-            // the post-step stretch pass (see `characterize`) reclaims
-            // every gap a backward-crossing slowdown would have
-            // exploited, because the fitted energy is decreasing on
-            // [t_min, t_max] — zero-slack schedules dominate. e⁻ only
-            // breaks ties for which chain member to slow when a
-            // backward cut edge does appear.
-            match (can_speed, can_slow) {
-                (true, true) => EdgeCap {
-                    upper: e_plus,
-                    speed: Some(*n),
-                    slow: Some(*n),
-                    slow_gain: e_minus,
-                },
-                // Slowest: cannot slow further, may speed.
-                (true, false) => EdgeCap {
-                    upper: e_plus,
-                    speed: Some(*n),
-                    slow: None,
-                    slow_gain: 0.0,
-                },
-                // Fastest: cannot speed, may slow.
-                (false, true) => EdgeCap {
-                    upper: inf,
-                    speed: None,
-                    slow: Some(*n),
-                    slow_gain: e_minus,
-                },
-                (false, false) => EdgeCap {
-                    upper: inf,
-                    speed: None,
-                    slow: None,
-                    slow_gain: 0.0,
-                },
-            }
-        }
-        EcEdge::Fixed(_) | EcEdge::Dep => EdgeCap {
-            upper: inf,
-            speed: None,
-            slow: None,
-            slow_gain: 0.0,
-        },
-    }));
-
-    // Series contraction: a node (other than s/t) with exactly one
-    // incoming and one outgoing edge is a pass-through; flow through a
-    // chain equals flow through each of its edges, so the chain behaves
-    // like one edge with `upper = min(upper_i)` (a forward cut picks the
-    // cheapest edge to speed; a backward cut slows the edge with the
-    // largest reclaim).
-    contractible.clear();
-    contractible.extend(
-        cg.node_ids()
-            .map(|v| v != s && v != t && cg.in_degree(v) == 1 && cg.out_degree(v) == 1),
-    );
-    compact.clear();
-    compact.resize(cg.node_count(), None);
-    let mut n_compact = 0usize;
-    for v in cg.node_ids() {
-        if !contractible[v.index()] {
-            compact[v.index()] = Some(n_compact);
-            n_compact += 1;
+    critical.clear();
+    crit_in.clear();
+    crit_in.resize(ec.node_count(), 0);
+    crit_out.clear();
+    crit_out.resize(ec.node_count(), 0);
+    for r in ec.edge_refs() {
+        let slack = latest[r.dst.index()] - earliest[r.src.index()] - edge_dur[r.id.index()];
+        let is_critical = slack <= tol;
+        critical.push(is_critical);
+        if is_critical {
+            crit_out[r.src.index()] += 1;
+            crit_in[r.dst.index()] += 1;
         }
     }
+    clock.lap(Phase::Critical);
+
+    // The split edges of the pipeline source/sink are always critical.
+    let (s, _) = halves[ctx.pipe.source.index()];
+    let (_, t) = halves[ctx.pipe.sink.index()];
+    let on_critical = |v: NodeId| crit_in[v.index()] + crit_out[v.index()] > 0;
+    if !on_critical(s) || !on_critical(t) {
+        return CutOutcome::AtMinimumTime;
+    }
+
+    // Series contraction: a critical node (other than s/t) with exactly
+    // one critical in-edge and one critical out-edge is a pass-through;
+    // flow through a chain equals flow through each of its edges, so the
+    // chain behaves like one edge with `upper = min(upper_i)` (a forward
+    // cut picks the cheapest edge to speed; a backward cut slows the edge
+    // with the largest reclaim). Nodes are numbered by ascending id and
+    // edges emitted in insertion order, so the compacted problem — and
+    // with it the warm-start topology signature — is exactly what a
+    // materialized Critical DAG would produce.
+    contractible.clear();
+    contractible.extend(
+        ec.node_ids()
+            .map(|v| v != s && v != t && crit_in[v.index()] == 1 && crit_out[v.index()] == 1),
+    );
+    compact.clear();
+    let mut n_compact = 0usize;
+    compact.extend(ec.node_ids().map(|v| {
+        (on_critical(v) && !contractible[v.index()]).then(|| {
+            n_compact += 1;
+            n_compact - 1
+        })
+    }));
+    if cap_cache.len() != ctx.pipe.dag.node_count() || *cap_tau != tau.to_bits() {
+        cap_cache.clear();
+        cap_cache.resize(ctx.pipe.dag.node_count(), None);
+        *cap_tau = tau.to_bits();
+    }
+    let mut cap_of = |e: &EcEdge| match *e {
+        EcEdge::Comp(n) => {
+            let key = planned[n.index()].to_bits();
+            match cap_cache[n.index()] {
+                Some((k, cap)) if k == key => cap,
+                _ => {
+                    let cap = EdgeCap::of_comp(ctx, n, planned[n.index()], tau);
+                    cap_cache[n.index()] = Some((key, cap));
+                    cap
+                }
+            }
+        }
+        EcEdge::Fixed(_) | EcEdge::Dep => EdgeCap::fixed(),
+    };
     problem.reset(n_compact);
     // Per contracted edge: (speed target, slow target).
     edge_meta.clear();
-    for u in cg.node_ids() {
-        if contractible[u.index()] {
+    for u in ec.node_ids() {
+        let Some(cu) = compact[u.index()] else {
             continue;
-        }
-        for first in cg.out_edges(u) {
-            let mut cap = caps[first.id.index()];
+        };
+        for first in ec.out_edges(u).filter(|r| critical[r.id.index()]) {
+            let mut cap = cap_of(first.payload);
             let mut head = first.dst;
             while contractible[head.index()] {
-                let next = cg.out_edges(head).next().expect("out-degree 1");
-                let c = caps[next.id.index()];
+                let next = ec
+                    .out_edges(head)
+                    .find(|r| critical[r.id.index()])
+                    .expect("critical out-degree 1");
+                let c = cap_of(next.payload);
                 if c.upper < cap.upper {
                     cap.upper = c.upper;
                     cap.speed = c.speed;
@@ -393,7 +559,7 @@ pub fn get_next_pareto_arena(
                 head = next.dst;
             }
             problem.add_edge(
-                compact[u.index()].expect("non-contractible"),
+                cu,
                 compact[head.index()].expect("non-contractible"),
                 cap.upper,
             );
@@ -404,6 +570,7 @@ pub fn get_next_pareto_arena(
         compact[s.index()].expect("terminal"),
         compact[t.index()].expect("terminal"),
     );
+    clock.lap(Phase::Contract);
 
     if !*warm_enabled {
         warm.invalidate();
@@ -414,6 +581,7 @@ pub fn get_next_pareto_arena(
         problem.solve(s, t, warm, sol, telemetry)
     };
     let Ok(hit) = solved else {
+        clock.lap(Phase::CutSolve);
         return CutOutcome::AtMinimumTime;
     };
     let paths = sol.augmenting_paths;
@@ -432,6 +600,7 @@ pub fn get_next_pareto_arena(
         *last_cold_paths = paths;
     }
     if problem.cut_capacity(&sol.source_side).is_infinite() {
+        clock.lap(Phase::CutSolve);
         return CutOutcome::AtMinimumTime;
     }
 
@@ -440,6 +609,7 @@ pub fn get_next_pareto_arena(
     sol.forward_cut_edges_into(problem, cut_scratch);
     speed_targets.clear();
     speed_targets.extend(cut_scratch.iter().filter_map(|&idx| edge_meta[idx].0));
+    clock.lap(Phase::CutSolve);
     if speed_targets.is_empty() {
         // The only way to "cut" was through unmodifiable edges that the
         // capacity check let through numerically; treat as converged.
@@ -477,24 +647,64 @@ pub fn get_next_pareto_arena(
 
     // Defensive re-check: the theory says the makespan shrinks by δ; if a
     // numerically marginal slowdown ever lengthened it instead, revert the
-    // slowdowns (keeping the speedups, which can only help).
-    let mut new_makespan =
-        TimingAnalysis::compute_with_order(ec, &solver.order, dur_of(planned)).makespan;
+    // slowdowns (keeping the speedups, which can only help). Only the
+    // makespan is read, so a forward pass suffices.
+    let mut recheck = |planned: &[f64]| {
+        stats.forward_timing_passes += 1;
+        edge_dur.clear();
+        edge_dur.extend(ec.edge_refs().map(|r| r.payload.duration(planned)));
+        forward_pass(ec, order, edge_dur, earliest)
+    };
+    let mut new_makespan = recheck(planned);
     if new_makespan > makespan - tau * 1e-6 {
         for &(n, t_old) in backup.iter() {
             planned[n.index()] = t_old;
         }
-        new_makespan =
-            TimingAnalysis::compute_with_order(ec, &solver.order, dur_of(planned)).makespan;
+        new_makespan = recheck(planned);
     }
+    clock.lap(Phase::Recheck);
     CutOutcome::Reduced { new_makespan }
 }
 
-/// Duration closure over the current planned durations.
-fn dur_of(planned: &[f64]) -> impl FnMut(perseus_dag::EdgeId, &EcEdge) -> f64 + '_ {
-    move |_, e: &EcEdge| match e {
-        EcEdge::Comp(n) => planned[n.index()],
-        EcEdge::Fixed(t) => *t,
-        EcEdge::Dep => 0.0,
+/// Earliest event times of the edge-centric DAG under edge durations
+/// `dur`, written into `earliest`; returns the makespan. Bit-identical to
+/// [`perseus_dag::TimingAnalysis`]'s forward pass.
+fn forward_pass(
+    ec: &Dag<(), EcEdge>,
+    order: &[NodeId],
+    dur: &[f64],
+    earliest: &mut Vec<f64>,
+) -> f64 {
+    earliest.clear();
+    earliest.resize(ec.node_count(), 0.0);
+    for &u in order {
+        for e in ec.out_edges(u) {
+            let cand = earliest[u.index()] + dur[e.id.index()];
+            if cand > earliest[e.dst.index()] {
+                earliest[e.dst.index()] = cand;
+            }
+        }
+    }
+    earliest.iter().copied().fold(0.0, f64::max)
+}
+
+/// Latest event times that keep `makespan`, written into `latest` — the
+/// backward half of [`perseus_dag::TimingAnalysis`].
+fn backward_pass(
+    ec: &Dag<(), EcEdge>,
+    order: &[NodeId],
+    dur: &[f64],
+    makespan: f64,
+    latest: &mut Vec<f64>,
+) {
+    latest.clear();
+    latest.resize(ec.node_count(), makespan);
+    for &u in order.iter().rev() {
+        for e in ec.out_edges(u) {
+            let cand = latest[e.dst.index()] - dur[e.id.index()];
+            if cand < latest[u.index()] {
+                latest[u.index()] = cand;
+            }
+        }
     }
 }

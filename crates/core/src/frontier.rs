@@ -6,12 +6,14 @@ use std::sync::Arc;
 
 use perseus_dag::NodeId;
 use perseus_gpu::FreqMHz;
-use perseus_pipeline::{node_schedule_gaps, node_start_times, PipeNode, PipelineDag};
+use perseus_pipeline::{
+    node_schedule_gaps_with_order, node_start_times_with_order, PipeNode, PipelineDag,
+};
 use perseus_telemetry::Telemetry;
 
 use crate::cache::PlanCache;
 use crate::context::{CoreError, PlanContext};
-use crate::cut::{get_next_pareto_arena, CutOutcome, CutSolver, SolverArena};
+use crate::cut::{get_next_pareto_arena, CutOutcome, CutSolver, Phase, SolverArena};
 use crate::energy::{pipeline_energy, PipelineEnergy};
 use crate::fingerprint::{plan_fingerprint_with_power, PlanFingerprint};
 use crate::parallel::parallel_map;
@@ -61,47 +63,12 @@ impl EnergySchedule {
         planned: Vec<f64>,
         cap: Option<FreqMHz>,
     ) -> Result<EnergySchedule, CoreError> {
-        let n = ctx.pipe.dag.node_count();
-        let mut freqs = vec![None; n];
-        let mut realized_dur = vec![0.0f64; n];
-        let mut realized_energy = vec![0.0f64; n];
-        for id in ctx.pipe.dag.node_ids() {
-            match ctx.pipe.dag.node(id) {
-                PipeNode::Comp(_) => {
-                    let info = ctx.info(id).expect("comp node has plan info");
-                    let profile = ctx.profile_of(id).expect("comp node has profile");
-                    let deadline = planned[id.index()].clamp(info.t_min, info.t_max);
-                    let entry = match cap {
-                        Some(cap) => profile
-                            .best_under_cap(deadline, cap)
-                            .unwrap_or_else(|| profile.slowest_entry()),
-                        None => profile
-                            .slowest_within(deadline)
-                            .expect("clamped deadline is always satisfiable"),
-                    };
-                    freqs[id.index()] = Some(entry.freq);
-                    realized_dur[id.index()] = entry.time_s;
-                    realized_energy[id.index()] = entry.energy_j;
-                }
-                PipeNode::Fixed {
-                    time_s, power_w, ..
-                } => {
-                    realized_dur[id.index()] = *time_s;
-                    realized_energy[id.index()] = time_s * power_w;
-                }
-                _ => {}
-            }
-        }
-        let (_, time_s) = node_start_times(&ctx.pipe.dag, |id, _| realized_dur[id.index()]);
-        let compute_j = realized_energy.iter().sum();
-        Ok(EnergySchedule {
-            planned,
-            freqs,
-            realized_dur,
-            realized_energy,
-            time_s,
-            compute_j,
-        })
+        let order = ctx
+            .pipe
+            .dag
+            .topo_order()
+            .expect("pipeline DAGs are acyclic");
+        Ok(Lowering::new(ctx, &order, cap).lower(planned, None))
     }
 
     /// Full Eq. 3 energy report for this schedule given straggler time
@@ -137,6 +104,105 @@ impl EnergySchedule {
     /// The frequency assigned to `node`, if it is a computation.
     pub fn freq_of(&self, node: NodeId) -> Option<FreqMHz> {
         self.freqs[node.index()]
+    }
+}
+
+/// §4.3's conversion rule — each computation runs at the slowest
+/// frequency that meets its planned duration (under an optional cap) —
+/// applied incrementally: lowering a schedule against a previously
+/// lowered one re-lowers only the nodes whose planned bits changed, and
+/// re-times the schedule only when a realized duration changed. Every
+/// output bit equals a from-scratch lowering: each node's entry is a pure
+/// function of its planned duration, the makespan a pure function of the
+/// realized durations, and `compute_j` is re-summed over the full vector
+/// in node order.
+struct Lowering<'a, 'c> {
+    ctx: &'a PlanContext<'c>,
+    /// Topological order of the pipeline DAG.
+    order: &'a [NodeId],
+    cap: Option<FreqMHz>,
+    /// Start-time scratch of the makespan pass.
+    starts: Vec<f64>,
+}
+
+impl<'a, 'c> Lowering<'a, 'c> {
+    fn new(ctx: &'a PlanContext<'c>, order: &'a [NodeId], cap: Option<FreqMHz>) -> Self {
+        Lowering {
+            ctx,
+            order,
+            cap,
+            starts: Vec::new(),
+        }
+    }
+
+    /// `(frequency, realized duration, realized energy)` of `id` at
+    /// planned duration `planned`.
+    fn lower_node(&self, id: NodeId, planned: f64) -> (Option<FreqMHz>, f64, f64) {
+        match self.ctx.pipe.dag.node(id) {
+            PipeNode::Comp(_) => {
+                let info = self.ctx.info(id).expect("comp node has plan info");
+                let profile = self.ctx.profile_of(id).expect("comp node has profile");
+                let deadline = planned.clamp(info.t_min, info.t_max);
+                let entry = match self.cap {
+                    Some(cap) => profile
+                        .best_under_cap(deadline, cap)
+                        .unwrap_or_else(|| profile.slowest_entry()),
+                    None => profile
+                        .slowest_within(deadline)
+                        .expect("clamped deadline is always satisfiable"),
+                };
+                (Some(entry.freq), entry.time_s, entry.energy_j)
+            }
+            PipeNode::Fixed {
+                time_s, power_w, ..
+            } => (None, *time_s, time_s * power_w),
+            _ => (None, 0.0, 0.0),
+        }
+    }
+
+    /// Lowers `planned`, reusing `prev` (a schedule this lowering produced
+    /// earlier) for every node whose planned duration is unchanged.
+    fn lower(&mut self, planned: Vec<f64>, prev: Option<&EnergySchedule>) -> EnergySchedule {
+        let n = self.ctx.pipe.dag.node_count();
+        let (mut freqs, mut realized_dur, mut realized_energy, mut time_s) = match prev {
+            Some(p) => (
+                p.freqs.clone(),
+                p.realized_dur.clone(),
+                p.realized_energy.clone(),
+                Some(p.time_s),
+            ),
+            None => (vec![None; n], vec![0.0f64; n], vec![0.0f64; n], None),
+        };
+        for id in self.ctx.pipe.dag.node_ids() {
+            let i = id.index();
+            if prev.is_some_and(|p| p.planned[i].to_bits() == planned[i].to_bits()) {
+                continue;
+            }
+            let (freq, dur, energy) = self.lower_node(id, planned[i]);
+            if dur.to_bits() != realized_dur[i].to_bits() {
+                time_s = None;
+            }
+            freqs[i] = freq;
+            realized_dur[i] = dur;
+            realized_energy[i] = energy;
+        }
+        let time_s = time_s.unwrap_or_else(|| {
+            node_start_times_with_order(
+                &self.ctx.pipe.dag,
+                self.order,
+                |id, _| realized_dur[id.index()],
+                &mut self.starts,
+            )
+        });
+        let compute_j = realized_energy.iter().sum();
+        EnergySchedule {
+            planned,
+            freqs,
+            realized_dur,
+            realized_energy,
+            time_s,
+            compute_j,
+        }
     }
 }
 
@@ -263,11 +329,20 @@ impl ParetoFrontier {
         ctx: &PlanContext<'_>,
         cap: FreqMHz,
     ) -> Result<ParetoFrontier, CoreError> {
+        let order = ctx
+            .pipe
+            .dag
+            .topo_order()
+            .expect("pipeline DAGs are acyclic");
+        let mut lowering = Lowering::new(ctx, &order, Some(cap));
         let mut points: Vec<FrontierPoint> = Vec::with_capacity(self.points.len());
         let mut best_energy = f64::INFINITY;
+        // The most recently lowered schedule when it was dropped; kept
+        // points are the diff base otherwise.
+        let mut dropped: Option<EnergySchedule> = None;
         for p in &self.points {
-            let schedule =
-                EnergySchedule::realize_with_cap(ctx, p.schedule.planned.clone(), Some(cap))?;
+            let prev = dropped.as_ref().or(points.last().map(|q| &q.schedule));
+            let schedule = lowering.lower(p.schedule.planned.clone(), prev);
             // The capped realization can only be slower than the plan
             // asked for; keep planned time consistent with what actually
             // runs so lookups stay truthful.
@@ -279,11 +354,14 @@ impl ParetoFrontier {
             };
             if ascends && planned_energy_j < best_energy {
                 best_energy = planned_energy_j;
+                dropped = None;
                 points.push(FrontierPoint {
                     planned_time_s,
                     planned_energy_j,
                     schedule,
                 });
+            } else {
+                dropped = Some(schedule);
             }
         }
         // The first point always survives the filter, so a non-empty
@@ -357,9 +435,15 @@ fn default_tau(ctx: &PlanContext<'_>) -> f64 {
 /// coarse τ sweep and everything a backward-crossing (lower-bound)
 /// slowdown in the exact Phillips–Dessouky formulation would have
 /// captured.
-fn stretch_into_slack(ctx: &PlanContext<'_>, planned: &mut [f64]) {
+fn stretch_into_slack(
+    ctx: &PlanContext<'_>,
+    order: &[NodeId],
+    planned: &mut [f64],
+    starts: &mut Vec<f64>,
+    gaps: &mut Vec<f64>,
+) {
     let dag = &ctx.pipe.dag;
-    let (gaps, _) = node_schedule_gaps(dag, |id, _| planned[id.index()]);
+    node_schedule_gaps_with_order(dag, order, |id, _| planned[id.index()], starts, gaps);
     for id in dag.node_ids() {
         let Some(info) = ctx.info(id) else { continue };
         let gap = gaps[id.index()];
@@ -383,7 +467,9 @@ fn stretch_into_slack(ctx: &PlanContext<'_>, planned: &mut [f64]) {
 #[derive(Debug)]
 pub struct FrontierSolver {
     cut: CutSolver,
-    node_count: usize,
+    /// Topological order of the pipeline DAG, shared by every timing,
+    /// stretch and lowering pass.
+    order: Vec<NodeId>,
     /// Characterizations run through this solver.
     runs: AtomicUsize,
     /// Warm-started min-cut solves across all characterizations.
@@ -393,6 +479,10 @@ pub struct FrontierSolver {
     /// Estimated paths avoided by warm starts (see
     /// [`crate::cut::ArenaStats`]).
     augmenting_paths_saved: AtomicU64,
+    /// Full (forward/backward) timing passes across all characterizations.
+    full_timing_passes: AtomicU64,
+    /// Forward-only re-check passes across all characterizations.
+    forward_timing_passes: AtomicU64,
     /// Fleet plan-cache hits observed by [`FrontierSolver::characterize_cached`].
     cache_hits: AtomicU64,
     /// Fleet plan-cache misses (each one ran the full solver).
@@ -418,6 +508,11 @@ pub struct SolverStats {
     pub augmenting_paths: u64,
     /// Estimated augmenting-path searches avoided by warm starts.
     pub augmenting_paths_saved: u64,
+    /// Full (forward/backward) timing passes: one per Phillips–Dessouky
+    /// step.
+    pub full_timing_passes: u64,
+    /// Forward-only makespan passes of the post-cut re-checks.
+    pub forward_timing_passes: u64,
     /// Characterizations answered from the fleet plan cache — the solver
     /// never ran (not counted in `runs`).
     pub cache_hits: u64,
@@ -441,11 +536,13 @@ impl FrontierSolver {
     pub fn with_telemetry(pipe: &PipelineDag, telemetry: Telemetry) -> FrontierSolver {
         FrontierSolver {
             cut: CutSolver::new(pipe),
-            node_count: pipe.dag.node_count(),
+            order: pipe.dag.topo_order().expect("pipeline DAGs are acyclic"),
             runs: AtomicUsize::new(0),
             warm_start_hits: AtomicU64::new(0),
             augmenting_paths: AtomicU64::new(0),
             augmenting_paths_saved: AtomicU64::new(0),
+            full_timing_passes: AtomicU64::new(0),
+            forward_timing_passes: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             cache_inserts: AtomicU64::new(0),
@@ -474,6 +571,8 @@ impl FrontierSolver {
             warm_start_hits: self.warm_start_hits.load(Ordering::Relaxed),
             augmenting_paths: self.augmenting_paths.load(Ordering::Relaxed),
             augmenting_paths_saved: self.augmenting_paths_saved.load(Ordering::Relaxed),
+            full_timing_passes: self.full_timing_passes.load(Ordering::Relaxed),
+            forward_timing_passes: self.forward_timing_passes.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             cache_inserts: self.cache_inserts.load(Ordering::Relaxed),
@@ -502,7 +601,7 @@ impl FrontierSolver {
     ) -> Result<ParetoFrontier, CoreError> {
         debug_assert_eq!(
             ctx.pipe.dag.node_count(),
-            self.node_count,
+            self.order.len(),
             "FrontierSolver reused across different pipelines"
         );
         let tel = &self.telemetry;
@@ -516,10 +615,20 @@ impl FrontierSolver {
         if ctx.pipe.computation_count() == 0 {
             return Err(CoreError::EmptyFrontier);
         }
+        // One arena for the whole sweep: the compacted problem and the
+        // previous iteration's max flow persist across steps, so most
+        // iterations patch capacities and re-augment instead of rebuilding.
+        let mut arena = SolverArena::new();
+        arena.set_warm(opts.warm_start);
+        arena.clock.start(tel);
+        let (dag, order) = (&ctx.pipe.dag, &self.order[..]);
+        let (mut starts, mut gaps) = (Vec::new(), Vec::new());
         let fastest = ctx.fastest_durations();
-        let (_, t_floor) = node_start_times(&ctx.pipe.dag, |id, _| fastest[id.index()]);
+        let t_floor =
+            node_start_times_with_order(dag, order, |id, _| fastest[id.index()], &mut starts);
         let mut planned = ctx.min_energy_durations();
-        let (_, t_star) = node_start_times(&ctx.pipe.dag, |id, _| planned[id.index()]);
+        let t_star =
+            node_start_times_with_order(dag, order, |id, _| planned[id.index()], &mut starts);
         // Default τ balances per-computation resolution against the number
         // of sweep iterations for very long pipelines (the stretch pass
         // makes coarse steps safe).
@@ -535,11 +644,6 @@ impl FrontierSolver {
         // iterations.
         let floor_margin = (tau * 0.5).min(t_floor * 5e-4);
         let mut pd_iterations = 0u64;
-        // One arena for the whole sweep: the compacted problem and the
-        // previous iteration's max flow persist across steps, so most
-        // iterations patch capacities and re-augment instead of rebuilding.
-        let mut arena = SolverArena::new();
-        arena.set_warm(opts.warm_start);
         for _ in 0..opts.max_iters {
             if makespan <= t_floor + floor_margin {
                 break;
@@ -555,9 +659,10 @@ impl FrontierSolver {
                     }
                     makespan = new_makespan;
                     if opts.stretch {
-                        stretch_into_slack(ctx, &mut planned);
+                        stretch_into_slack(ctx, order, &mut planned, &mut starts, &mut gaps);
                     }
                     raw_points.push((new_makespan, planned.clone()));
+                    arena.clock.lap(Phase::Stretch);
                 }
                 CutOutcome::AtMinimumTime => break,
             }
@@ -569,22 +674,39 @@ impl FrontierSolver {
             .fetch_add(arena_stats.augmenting_paths, Ordering::Relaxed);
         self.augmenting_paths_saved
             .fetch_add(arena_stats.augmenting_paths_saved, Ordering::Relaxed);
+        self.full_timing_passes
+            .fetch_add(arena_stats.full_timing_passes, Ordering::Relaxed);
+        self.forward_timing_passes
+            .fetch_add(arena_stats.forward_timing_passes, Ordering::Relaxed);
 
         // Ascending time; drop any non-Pareto stragglers produced by
-        // clamping.
+        // clamping. Consecutive points differ in a handful of durations,
+        // so each computation's fitted energy is re-evaluated only when
+        // its duration changed (and re-summed in node order), and each
+        // kept point is lowered against the previously kept one.
         raw_points.reverse();
-        let mut points = Vec::with_capacity(raw_points.len());
+        let comps: Vec<(NodeId, &crate::context::NodePlanInfo)> = dag
+            .node_ids()
+            .filter_map(|id| ctx.info(id).map(|info| (id, info)))
+            .collect();
+        let mut fitted = vec![(f64::NAN.to_bits(), 0.0f64); dag.node_count()];
+        let mut lowering = Lowering::new(ctx, order, None);
+        let mut points: Vec<FrontierPoint> = Vec::with_capacity(raw_points.len());
         let mut best_energy = f64::INFINITY;
         for (time, durations) in raw_points {
             let mut planned_energy = 0.0;
-            for id in ctx.pipe.dag.node_ids() {
-                if let Some(info) = ctx.info(id) {
-                    planned_energy += info.fit.energy(durations[id.index()]);
+            for &(id, info) in &comps {
+                let (key, energy) = &mut fitted[id.index()];
+                let t = durations[id.index()];
+                if *key != t.to_bits() {
+                    *key = t.to_bits();
+                    *energy = info.fit.energy(t);
                 }
+                planned_energy += *energy;
             }
             if planned_energy < best_energy {
                 best_energy = planned_energy;
-                let schedule = EnergySchedule::realize(ctx, durations)?;
+                let schedule = lowering.lower(durations, points.last().map(|p| &p.schedule));
                 points.push(FrontierPoint {
                     planned_time_s: time,
                     planned_energy_j: planned_energy,
@@ -592,6 +714,7 @@ impl FrontierSolver {
                 });
             }
         }
+        arena.clock.lap(Phase::Realize);
         if points.is_empty() {
             return Err(CoreError::EmptyFrontier);
         }
@@ -600,6 +723,11 @@ impl FrontierSolver {
                 .add(pd_iterations);
             tel.counter("perseus_frontier_points_total")
                 .add(points.len() as u64);
+            tel.counter_with("perseus_timing_passes_total", &[("kind", "full")])
+                .add(arena_stats.full_timing_passes);
+            tel.counter_with("perseus_timing_passes_total", &[("kind", "forward")])
+                .add(arena_stats.forward_timing_passes);
+            arena.clock.emit(tel);
         }
         Ok(ParetoFrontier { points })
     }

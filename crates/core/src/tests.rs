@@ -109,6 +109,85 @@ fn parallel_characterize_all_matches_sequential() {
     }
 }
 
+#[test]
+fn disabled_telemetry_registers_nothing_and_matches_the_enabled_frontier() {
+    let gpu = GpuSpec::a100_pcie();
+    let pipe = build_pipe(4, 6);
+    let stages = stages_with_scales(&[1.0, 1.1, 0.95, 1.2]);
+    let ctx = PlanContext::from_model_profiles(&pipe, &gpu, &stages).unwrap();
+    let opts = FrontierOptions {
+        tau_s: Some(2e-3),
+        ..FrontierOptions::default()
+    };
+    let off = perseus_telemetry::Telemetry::disabled();
+    let silent_solver = FrontierSolver::with_telemetry(&pipe, off.clone());
+    let silent = silent_solver.characterize(&ctx, &opts).unwrap();
+    assert!(
+        off.snapshot().is_empty(),
+        "disabled telemetry registered metrics"
+    );
+    let on = perseus_telemetry::Telemetry::enabled();
+    let traced_solver = FrontierSolver::with_telemetry(&pipe, on.clone());
+    let traced = traced_solver.characterize(&ctx, &opts).unwrap();
+    assert_frontiers_bit_identical(&silent, &traced);
+    // The work counters are deterministic, whoever is listening.
+    let (a, b) = (silent_solver.stats(), traced_solver.stats());
+    assert_eq!(a.full_timing_passes, b.full_timing_passes);
+    assert_eq!(a.forward_timing_passes, b.forward_timing_passes);
+    assert!(!on.snapshot().is_empty());
+}
+
+#[test]
+fn enabled_telemetry_counts_one_full_timing_pass_per_step() {
+    let gpu = GpuSpec::a100_pcie();
+    let pipe = build_pipe(4, 6);
+    let stages = stages_with_scales(&[1.0, 1.1, 0.95, 1.2]);
+    let ctx = PlanContext::from_model_profiles(&pipe, &gpu, &stages).unwrap();
+    let tel = perseus_telemetry::Telemetry::enabled();
+    let solver = FrontierSolver::with_telemetry(&pipe, tel.clone());
+    let opts = FrontierOptions {
+        tau_s: Some(2e-3),
+        ..FrontierOptions::default()
+    };
+    let frontier = solver.characterize(&ctx, &opts).unwrap();
+    let snap = tel.snapshot();
+    let steps = snap.value_of("perseus_pd_iterations_total", &[]).unwrap();
+    let full = snap
+        .value_of("perseus_timing_passes_total", &[("kind", "full")])
+        .unwrap();
+    let forward = snap
+        .value_of("perseus_timing_passes_total", &[("kind", "forward")])
+        .unwrap();
+    assert!(steps > 1.0);
+    assert_eq!(full, steps, "exactly one full timing pass per step");
+    // Every step but the last applied a cut and re-checked it with one
+    // or two forward-only passes.
+    assert!(forward >= (frontier.len() - 1) as f64 && forward <= 2.0 * steps);
+    let stats = solver.stats();
+    assert_eq!(stats.full_timing_passes as f64, full);
+    assert_eq!(stats.forward_timing_passes as f64, forward);
+    let phases = [
+        "timing",
+        "critical",
+        "contract",
+        "cut_solve",
+        "recheck",
+        "stretch",
+        "realize",
+    ];
+    let total: f64 = phases
+        .iter()
+        .map(|&phase| {
+            snap.value_of(
+                "perseus_characterize_phase_seconds_total",
+                &[("phase", phase)],
+            )
+            .unwrap_or_else(|| panic!("phase {phase} not emitted"))
+        })
+        .sum();
+    assert!(total > 0.0);
+}
+
 /// Stage workloads with a configurable per-stage scale, mimicking stage
 /// imbalance. `scales[s]` multiplies stage `s`'s work.
 fn stages_with_scales(scales: &[f64]) -> Vec<StageWorkloads> {

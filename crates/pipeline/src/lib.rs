@@ -30,7 +30,10 @@ mod trace;
 
 pub use builder::{DepKind, PipeNode, PipelineBuilder, PipelineDag, ScheduleError};
 pub use memory::{activation_memory, MemoryProfile};
-pub use render::{node_schedule_gaps, node_start_times, render_timeline};
+pub use render::{
+    node_schedule_gaps, node_schedule_gaps_with_order, node_start_times,
+    node_start_times_with_order, render_timeline,
+};
 pub use schedule::{CompKind, Computation, Instruction, OpKey, ScheduleKind};
 pub use trace::chrome_trace_json;
 

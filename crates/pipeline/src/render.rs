@@ -18,9 +18,26 @@ use crate::schedule::CompKind;
 /// construction).
 pub fn node_start_times<N, E>(dag: &Dag<N, E>, dur: impl Fn(NodeId, &N) -> f64) -> (Vec<f64>, f64) {
     let order = dag.topo_order().expect("pipeline DAGs are acyclic");
-    let mut start = vec![0.0f64; dag.node_count()];
+    let mut start = Vec::new();
+    let makespan = node_start_times_with_order(dag, &order, dur, &mut start);
+    (start, makespan)
+}
+
+/// [`node_start_times`] with a precomputed topological `order`, writing
+/// the start times into `start` (resized to the node count) and
+/// returning the makespan — the allocation-free form for repeated passes
+/// over a structurally static DAG.
+pub fn node_start_times_with_order<N, E>(
+    dag: &Dag<N, E>,
+    order: &[NodeId],
+    dur: impl Fn(NodeId, &N) -> f64,
+    start: &mut Vec<f64>,
+) -> f64 {
+    debug_assert_eq!(order.len(), dag.node_count());
+    start.clear();
+    start.resize(dag.node_count(), 0.0);
     let mut makespan = 0.0f64;
-    for &u in &order {
+    for &u in order {
         let finish = start[u.index()] + dur(u, dag.node(u));
         makespan = makespan.max(finish);
         for e in dag.out_edges(u) {
@@ -29,7 +46,7 @@ pub fn node_start_times<N, E>(dag: &Dag<N, E>, dur: impl Fn(NodeId, &N) -> f64) 
             }
         }
     }
-    (start, makespan)
+    makespan
 }
 
 /// The schedule gap of every node at the current earliest-start schedule:
@@ -51,16 +68,32 @@ pub fn node_schedule_gaps<N, E>(
     dag: &Dag<N, E>,
     dur: impl Fn(NodeId, &N) -> f64,
 ) -> (Vec<f64>, f64) {
-    let (starts, makespan) = node_start_times(dag, &dur);
-    let mut gaps = vec![0.0f64; dag.node_count()];
-    for u in dag.node_ids() {
+    let order = dag.topo_order().expect("pipeline DAGs are acyclic");
+    let (mut starts, mut gaps) = (Vec::new(), Vec::new());
+    let makespan = node_schedule_gaps_with_order(dag, &order, dur, &mut starts, &mut gaps);
+    (gaps, makespan)
+}
+
+/// [`node_schedule_gaps`] with a precomputed topological `order`, writing
+/// the start times into `starts` and the gaps into `gaps` (both resized
+/// to the node count) and returning the makespan.
+pub fn node_schedule_gaps_with_order<N, E>(
+    dag: &Dag<N, E>,
+    order: &[NodeId],
+    dur: impl Fn(NodeId, &N) -> f64,
+    starts: &mut Vec<f64>,
+    gaps: &mut Vec<f64>,
+) -> f64 {
+    let makespan = node_start_times_with_order(dag, order, dur, starts);
+    gaps.clear();
+    gaps.extend(dag.node_ids().map(|u| {
         let mut limit = makespan;
         for e in dag.out_edges(u) {
             limit = limit.min(starts[e.dst.index()]);
         }
-        gaps[u.index()] = limit - starts[u.index()];
-    }
-    (gaps, makespan)
+        limit - starts[u.index()]
+    }));
+    makespan
 }
 
 /// Renders a Figure-1-style ASCII timeline: one row per stage, `F`/`B`/`R`

@@ -371,3 +371,80 @@ proptest! {
         );
     }
 }
+
+/// Bitwise equality of two realized schedules, field by field.
+fn same_schedule(a: &perseus::core::EnergySchedule, b: &perseus::core::EnergySchedule) -> bool {
+    let bits = |x: &[f64], y: &[f64]| {
+        x.len() == y.len() && x.iter().zip(y).all(|(u, v)| u.to_bits() == v.to_bits())
+    };
+    bits(&a.planned, &b.planned)
+        && bits(&a.realized_dur, &b.realized_dur)
+        && bits(&a.realized_energy, &b.realized_energy)
+        && a.freqs == b.freqs
+        && a.time_s.to_bits() == b.time_s.to_bits()
+        && a.compute_j.to_bits() == b.compute_j.to_bits()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    // The frontier lowers each point incrementally against the previous
+    // one; every point must still equal a from-scratch lowering, and the
+    // frequency-capped frontier must equal per-point `realize_with_cap`
+    // under the same Pareto filter.
+    #[test]
+    fn incremental_lowering_matches_from_scratch_realization(
+        gpipe in any::<bool>(),
+        n_microbatches in 2usize..6,
+        stages in proptest::collection::vec(arb_stage(), 2..5),
+        cap_frac in 0.0f64..1.0,
+    ) {
+        use perseus::core::EnergySchedule;
+        use perseus::gpu::FreqMHz;
+
+        let gpu = GpuSpec::a40();
+        let kind = if gpipe { ScheduleKind::GPipe } else { ScheduleKind::OneFOneB };
+        let pipe = PipelineBuilder::new(kind, stages.len(), n_microbatches)
+            .build()
+            .unwrap();
+        let ctx = PlanContext::from_model_profiles(&pipe, &gpu, &stages).unwrap();
+        let frontier = characterize(&ctx, &FrontierOptions::default()).unwrap();
+        for (i, p) in frontier.points().iter().enumerate() {
+            let scratch = EnergySchedule::realize(&ctx, p.schedule.planned.clone()).unwrap();
+            prop_assert!(same_schedule(&p.schedule, &scratch), "point {i} differs from realize");
+            let mut planned_energy = 0.0;
+            for id in pipe.dag.node_ids() {
+                if let Some(info) = ctx.info(id) {
+                    planned_energy += info.fit.energy(p.schedule.planned[id.index()]);
+                }
+            }
+            prop_assert_eq!(p.planned_energy_j.to_bits(), planned_energy.to_bits());
+        }
+
+        let span = f64::from(gpu.max_freq_mhz - gpu.min_freq_mhz);
+        let raw = gpu.min_freq_mhz + (cap_frac * span) as u32;
+        let cap = FreqMHz(raw - (raw - gpu.min_freq_mhz) % gpu.step_mhz);
+        let clamped = frontier.clamp_to_freq_cap(&ctx, cap).unwrap();
+        let mut expected: Vec<(f64, EnergySchedule)> = Vec::new();
+        let mut best_energy = f64::INFINITY;
+        for p in frontier.points() {
+            let s = EnergySchedule::realize_with_cap(&ctx, p.schedule.planned.clone(), Some(cap))
+                .unwrap();
+            let planned_time_s = p.planned_time_s.max(s.time_s);
+            let ascends = match expected.last() {
+                Some((t, _)) => planned_time_s > t + 1e-12,
+                None => true,
+            };
+            if ascends && s.compute_j < best_energy {
+                best_energy = s.compute_j;
+                expected.push((planned_time_s, s));
+            }
+        }
+        prop_assert_eq!(clamped.len(), expected.len());
+        for (i, (p, (t, s))) in clamped.points().iter().zip(&expected).enumerate() {
+            prop_assert_eq!(p.planned_time_s.to_bits(), t.to_bits());
+            prop_assert_eq!(p.planned_energy_j.to_bits(), s.compute_j.to_bits());
+            prop_assert!(same_schedule(&p.schedule, s), "clamped point {i} differs");
+        }
+    }
+}
