@@ -51,16 +51,44 @@ const PHASES: [&str; 7] = [
     "realize",
 ];
 
-/// Characterization seconds per phase recorded in `tel` so far.
-fn phase_seconds(tel: &Telemetry) -> [f64; 7] {
-    let snap = tel.snapshot();
-    PHASES.map(|phase| {
-        snap.value_of(
-            "perseus_characterize_phase_seconds_total",
-            &[("phase", phase)],
-        )
-        .unwrap_or(0.0)
-    })
+/// What one deep characterization recorded: seconds per phase, then the
+/// full and forward-only timing-pass counts.
+#[derive(Clone, Copy)]
+struct Profile {
+    phases: [f64; 7],
+    full_passes: f64,
+    forward_passes: f64,
+}
+
+impl Profile {
+    /// Totals recorded in `tel` so far.
+    fn read(tel: &Telemetry) -> Profile {
+        let snap = tel.snapshot();
+        let passes = |kind| {
+            snap.value_of("perseus_timing_passes_total", &[("kind", kind)])
+                .unwrap_or(0.0)
+        };
+        Profile {
+            phases: PHASES.map(|phase| {
+                snap.value_of(
+                    "perseus_characterize_phase_seconds_total",
+                    &[("phase", phase)],
+                )
+                .unwrap_or(0.0)
+            }),
+            full_passes: passes("full"),
+            forward_passes: passes("forward"),
+        }
+    }
+
+    /// What was recorded between `before` and `self`.
+    fn since(self, before: Profile) -> Profile {
+        Profile {
+            phases: std::array::from_fn(|i| self.phases[i] - before.phases[i]),
+            full_passes: self.full_passes - before.full_passes,
+            forward_passes: self.forward_passes - before.forward_passes,
+        }
+    }
 }
 
 fn arg_str(args: &[String], flag: &str) -> Option<String> {
@@ -170,30 +198,30 @@ fn main() {
     let deep = Workbench::build(&model, &gpu, 32, n_microbatches);
     let ctx = deep.ctx();
 
-    // Phase seconds are recorded only on enabled telemetry, so the deep
-    // runs always record into one (the suite's own under --metrics).
+    // Phase seconds and timing passes are recorded only on enabled
+    // telemetry, so the deep runs always record into one (the suite's
+    // own under --metrics).
     let deep_tel = if tel.is_enabled() {
         tel.clone()
     } else {
         Telemetry::enabled()
     };
-    let run = |warm_start: bool| -> (ParetoFrontier, SolverStats, f64, [f64; 7]) {
+    let run = |warm_start: bool| -> (ParetoFrontier, SolverStats, f64, Profile) {
         let solver = FrontierSolver::with_telemetry(&deep.pipe, deep_tel.clone());
         let opts = FrontierOptions {
             warm_start,
             tau_s,
             ..FrontierOptions::default()
         };
-        let before = phase_seconds(&deep_tel);
+        let before = Profile::read(&deep_tel);
         let t0 = Instant::now();
         let frontier = solver.characterize(&ctx, &opts).expect("characterize");
         let wall_s = t0.elapsed().as_secs_f64();
-        let after = phase_seconds(&deep_tel);
-        let phases = std::array::from_fn(|i| after[i] - before[i]);
-        (frontier, solver.stats(), wall_s, phases)
+        let profile = Profile::read(&deep_tel).since(before);
+        (frontier, solver.stats(), wall_s, profile)
     };
-    let (cold_frontier, cold, cold_s, cold_phases) = run(false);
-    let (warm_frontier, warm, warm_s, warm_phases) = run(true);
+    let (cold_frontier, cold, cold_s, cold_profile) = run(false);
+    let (warm_frontier, warm, warm_s, warm_profile) = run(true);
 
     println!("== Solver suite: GPT-3 6.7B, 32 stages x 32 microbatches, A40 ==");
     println!(
@@ -211,17 +239,17 @@ fn main() {
     println!("cold/warm path ratio         {:>12.2}x", ratio);
     println!(
         "full timing passes           {:>12}",
-        warm.full_timing_passes
+        warm_profile.full_passes
     );
     println!(
         "forward timing passes        {:>12}",
-        warm.forward_timing_passes
+        warm_profile.forward_passes
     );
     eprintln!("cold characterize: {cold_s:.3} s, warm characterize: {warm_s:.3} s");
-    for (name, phases) in [("cold", cold_phases), ("warm", warm_phases)] {
+    for (name, profile) in [("cold", cold_profile), ("warm", warm_profile)] {
         let split: Vec<String> = PHASES
             .iter()
-            .zip(phases)
+            .zip(profile.phases)
             .map(|(phase, secs)| format!("{phase} {secs:.3}"))
             .collect();
         eprintln!("{name} phases (s): {}", split.join(", "));
@@ -319,11 +347,11 @@ fn main() {
         .with_extra("augmenting_paths_saved", warm.augmenting_paths_saved as f64)
         .with_extra("cold_warm_path_ratio", ratio)
         .with_extra("frontier_points", warm_frontier.points().len() as f64)
-        .with_extra("full_timing_passes", warm.full_timing_passes as f64)
-        .with_extra("forward_timing_passes", warm.forward_timing_passes as f64)
+        .with_extra("full_timing_passes", warm_profile.full_passes)
+        .with_extra("forward_timing_passes", warm_profile.forward_passes)
         .with_extra("cold_characterize_s", cold_s)
         .with_extra("warm_characterize_s", warm_s);
-        for (phase, secs) in PHASES.iter().zip(warm_phases) {
+        for (phase, secs) in PHASES.iter().zip(warm_profile.phases) {
             entry = entry.with_extra(format!("warm_phase_{phase}_s"), secs);
         }
         perseus_bench::write_bench_json(path.as_ref(), &[entry]).expect("write bench json");

@@ -4,7 +4,7 @@
 
 use std::time::Instant;
 
-use perseus_dag::{Dag, NodeId};
+use perseus_dag::{Dag, NodeId, TimingAnalysis};
 use perseus_flow::{BoundedFlowProblem, BoundedFlowSolution, WarmStart};
 use perseus_pipeline::PipelineDag;
 use perseus_telemetry::{span, Telemetry};
@@ -136,29 +136,16 @@ pub(crate) enum Phase {
     Realize,
 }
 
-impl Phase {
-    const ALL: [Phase; 7] = [
-        Phase::Timing,
-        Phase::Critical,
-        Phase::Contract,
-        Phase::CutSolve,
-        Phase::Recheck,
-        Phase::Stretch,
-        Phase::Realize,
-    ];
-
-    fn label(self) -> &'static str {
-        match self {
-            Phase::Timing => "timing",
-            Phase::Critical => "critical",
-            Phase::Contract => "contract",
-            Phase::CutSolve => "cut_solve",
-            Phase::Recheck => "recheck",
-            Phase::Stretch => "stretch",
-            Phase::Realize => "realize",
-        }
-    }
-}
+/// `phase` label of each [`Phase`], indexed by discriminant.
+const PHASE_LABELS: [&str; 7] = [
+    "timing",
+    "critical",
+    "contract",
+    "cut_solve",
+    "recheck",
+    "stretch",
+    "realize",
+];
 
 /// Lap timer attributing a characterization's wall time to [`Phase`]s:
 /// each [`PhaseClock::lap`] charges the time since the previous lap to the
@@ -167,7 +154,7 @@ impl Phase {
 #[derive(Debug, Default)]
 pub(crate) struct PhaseClock {
     last: Option<Instant>,
-    secs: [f64; Phase::ALL.len()],
+    secs: [f64; PHASE_LABELS.len()],
 }
 
 impl PhaseClock {
@@ -191,13 +178,13 @@ impl PhaseClock {
     /// Adds the accumulated seconds to
     /// `perseus_characterize_phase_seconds_total{phase}`.
     pub(crate) fn emit(&self, telemetry: &Telemetry) {
-        for phase in Phase::ALL {
+        for (label, secs) in PHASE_LABELS.iter().zip(self.secs) {
             telemetry
                 .float_counter_with(
                     "perseus_characterize_phase_seconds_total",
-                    &[("phase", phase.label())],
+                    &[("phase", label)],
                 )
-                .add(self.secs[phase as usize]);
+                .add(secs);
         }
     }
 }
@@ -221,8 +208,9 @@ pub struct SolverArena {
     sol: BoundedFlowSolution,
     /// Duration of every edge-centric edge at the current step.
     edge_dur: Vec<f64>,
-    earliest: Vec<f64>,
-    latest: Vec<f64>,
+    /// Event times of the step's full pass; the re-check overwrites
+    /// `earliest` once the critical mask is built.
+    timing: TimingAnalysis,
     /// Critical-edge mask over the edge-centric DAG.
     critical: Vec<bool>,
     /// Critical in/out degree of every edge-centric node.
@@ -261,8 +249,7 @@ impl SolverArena {
             problem: BoundedFlowProblem::default(),
             sol: BoundedFlowSolution::default(),
             edge_dur: Vec::new(),
-            earliest: Vec::new(),
-            latest: Vec::new(),
+            timing: TimingAnalysis::default(),
             critical: Vec::new(),
             crit_in: Vec::new(),
             crit_out: Vec::new(),
@@ -431,8 +418,7 @@ pub fn get_next_pareto_arena(
         problem,
         sol,
         edge_dur,
-        earliest,
-        latest,
+        timing,
         critical,
         crit_in,
         crit_out,
@@ -453,8 +439,8 @@ pub fn get_next_pareto_arena(
 
     edge_dur.clear();
     edge_dur.extend(ec.edge_refs().map(|r| r.payload.duration(planned)));
-    let makespan = forward_pass(ec, order, edge_dur, earliest);
-    backward_pass(ec, order, edge_dur, makespan, latest);
+    timing.recompute(ec, order, edge_dur);
+    let makespan = timing.makespan;
     stats.full_timing_passes += 1;
     clock.lap(Phase::Timing);
 
@@ -471,8 +457,7 @@ pub fn get_next_pareto_arena(
     crit_out.clear();
     crit_out.resize(ec.node_count(), 0);
     for r in ec.edge_refs() {
-        let slack = latest[r.dst.index()] - earliest[r.src.index()] - edge_dur[r.id.index()];
-        let is_critical = slack <= tol;
+        let is_critical = timing.slack(r.src, r.dst, edge_dur[r.id.index()]) <= tol;
         critical.push(is_critical);
         if is_critical {
             crit_out[r.src.index()] += 1;
@@ -653,7 +638,7 @@ pub fn get_next_pareto_arena(
         stats.forward_timing_passes += 1;
         edge_dur.clear();
         edge_dur.extend(ec.edge_refs().map(|r| r.payload.duration(planned)));
-        forward_pass(ec, order, edge_dur, earliest)
+        TimingAnalysis::forward(ec, order, edge_dur, &mut timing.earliest)
     };
     let mut new_makespan = recheck(planned);
     if new_makespan > makespan - tau * 1e-6 {
@@ -664,47 +649,4 @@ pub fn get_next_pareto_arena(
     }
     clock.lap(Phase::Recheck);
     CutOutcome::Reduced { new_makespan }
-}
-
-/// Earliest event times of the edge-centric DAG under edge durations
-/// `dur`, written into `earliest`; returns the makespan. Bit-identical to
-/// [`perseus_dag::TimingAnalysis`]'s forward pass.
-fn forward_pass(
-    ec: &Dag<(), EcEdge>,
-    order: &[NodeId],
-    dur: &[f64],
-    earliest: &mut Vec<f64>,
-) -> f64 {
-    earliest.clear();
-    earliest.resize(ec.node_count(), 0.0);
-    for &u in order {
-        for e in ec.out_edges(u) {
-            let cand = earliest[u.index()] + dur[e.id.index()];
-            if cand > earliest[e.dst.index()] {
-                earliest[e.dst.index()] = cand;
-            }
-        }
-    }
-    earliest.iter().copied().fold(0.0, f64::max)
-}
-
-/// Latest event times that keep `makespan`, written into `latest` — the
-/// backward half of [`perseus_dag::TimingAnalysis`].
-fn backward_pass(
-    ec: &Dag<(), EcEdge>,
-    order: &[NodeId],
-    dur: &[f64],
-    makespan: f64,
-    latest: &mut Vec<f64>,
-) {
-    latest.clear();
-    latest.resize(ec.node_count(), makespan);
-    for &u in order.iter().rev() {
-        for e in ec.out_edges(u) {
-            let cand = latest[e.dst.index()] - dur[e.id.index()];
-            if cand < latest[u.index()] {
-                latest[u.index()] = cand;
-            }
-        }
-    }
 }

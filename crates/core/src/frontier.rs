@@ -479,10 +479,6 @@ pub struct FrontierSolver {
     /// Estimated paths avoided by warm starts (see
     /// [`crate::cut::ArenaStats`]).
     augmenting_paths_saved: AtomicU64,
-    /// Full (forward/backward) timing passes across all characterizations.
-    full_timing_passes: AtomicU64,
-    /// Forward-only re-check passes across all characterizations.
-    forward_timing_passes: AtomicU64,
     /// Fleet plan-cache hits observed by [`FrontierSolver::characterize_cached`].
     cache_hits: AtomicU64,
     /// Fleet plan-cache misses (each one ran the full solver).
@@ -508,11 +504,6 @@ pub struct SolverStats {
     pub augmenting_paths: u64,
     /// Estimated augmenting-path searches avoided by warm starts.
     pub augmenting_paths_saved: u64,
-    /// Full (forward/backward) timing passes: one per Phillips–Dessouky
-    /// step.
-    pub full_timing_passes: u64,
-    /// Forward-only makespan passes of the post-cut re-checks.
-    pub forward_timing_passes: u64,
     /// Characterizations answered from the fleet plan cache — the solver
     /// never ran (not counted in `runs`).
     pub cache_hits: u64,
@@ -541,8 +532,7 @@ impl FrontierSolver {
             warm_start_hits: AtomicU64::new(0),
             augmenting_paths: AtomicU64::new(0),
             augmenting_paths_saved: AtomicU64::new(0),
-            full_timing_passes: AtomicU64::new(0),
-            forward_timing_passes: AtomicU64::new(0),
+
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             cache_inserts: AtomicU64::new(0),
@@ -571,8 +561,6 @@ impl FrontierSolver {
             warm_start_hits: self.warm_start_hits.load(Ordering::Relaxed),
             augmenting_paths: self.augmenting_paths.load(Ordering::Relaxed),
             augmenting_paths_saved: self.augmenting_paths_saved.load(Ordering::Relaxed),
-            full_timing_passes: self.full_timing_passes.load(Ordering::Relaxed),
-            forward_timing_passes: self.forward_timing_passes.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             cache_inserts: self.cache_inserts.load(Ordering::Relaxed),
@@ -674,10 +662,6 @@ impl FrontierSolver {
             .fetch_add(arena_stats.augmenting_paths, Ordering::Relaxed);
         self.augmenting_paths_saved
             .fetch_add(arena_stats.augmenting_paths_saved, Ordering::Relaxed);
-        self.full_timing_passes
-            .fetch_add(arena_stats.full_timing_passes, Ordering::Relaxed);
-        self.forward_timing_passes
-            .fetch_add(arena_stats.forward_timing_passes, Ordering::Relaxed);
 
         // Ascending time; drop any non-Pareto stragglers produced by
         // clamping. Consecutive points differ in a handful of durations,

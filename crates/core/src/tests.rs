@@ -120,20 +120,18 @@ fn disabled_telemetry_registers_nothing_and_matches_the_enabled_frontier() {
         ..FrontierOptions::default()
     };
     let off = perseus_telemetry::Telemetry::disabled();
-    let silent_solver = FrontierSolver::with_telemetry(&pipe, off.clone());
-    let silent = silent_solver.characterize(&ctx, &opts).unwrap();
+    let silent = FrontierSolver::with_telemetry(&pipe, off.clone())
+        .characterize(&ctx, &opts)
+        .unwrap();
     assert!(
         off.snapshot().is_empty(),
         "disabled telemetry registered metrics"
     );
     let on = perseus_telemetry::Telemetry::enabled();
-    let traced_solver = FrontierSolver::with_telemetry(&pipe, on.clone());
-    let traced = traced_solver.characterize(&ctx, &opts).unwrap();
+    let traced = FrontierSolver::with_telemetry(&pipe, on.clone())
+        .characterize(&ctx, &opts)
+        .unwrap();
     assert_frontiers_bit_identical(&silent, &traced);
-    // The work counters are deterministic, whoever is listening.
-    let (a, b) = (silent_solver.stats(), traced_solver.stats());
-    assert_eq!(a.full_timing_passes, b.full_timing_passes);
-    assert_eq!(a.forward_timing_passes, b.forward_timing_passes);
     assert!(!on.snapshot().is_empty());
 }
 
@@ -144,12 +142,13 @@ fn enabled_telemetry_counts_one_full_timing_pass_per_step() {
     let stages = stages_with_scales(&[1.0, 1.1, 0.95, 1.2]);
     let ctx = PlanContext::from_model_profiles(&pipe, &gpu, &stages).unwrap();
     let tel = perseus_telemetry::Telemetry::enabled();
-    let solver = FrontierSolver::with_telemetry(&pipe, tel.clone());
     let opts = FrontierOptions {
         tau_s: Some(2e-3),
         ..FrontierOptions::default()
     };
-    let frontier = solver.characterize(&ctx, &opts).unwrap();
+    let frontier = FrontierSolver::with_telemetry(&pipe, tel.clone())
+        .characterize(&ctx, &opts)
+        .unwrap();
     let snap = tel.snapshot();
     let steps = snap.value_of("perseus_pd_iterations_total", &[]).unwrap();
     let full = snap
@@ -163,9 +162,6 @@ fn enabled_telemetry_counts_one_full_timing_pass_per_step() {
     // Every step but the last applied a cut and re-checked it with one
     // or two forward-only passes.
     assert!(forward >= (frontier.len() - 1) as f64 && forward <= 2.0 * steps);
-    let stats = solver.stats();
-    assert_eq!(stats.full_timing_passes as f64, full);
-    assert_eq!(stats.forward_timing_passes as f64, forward);
     let phases = [
         "timing",
         "critical",

@@ -263,6 +263,12 @@ fn compute_with_order_matches_compute() {
     assert_eq!(a.earliest, b.earliest);
     assert_eq!(a.latest, b.latest);
     assert_eq!(a.makespan, b.makespan);
+    // The forward half alone reproduces the earliest times and makespan.
+    let durations: Vec<f64> = g.edge_refs().map(|r| *r.payload).collect();
+    let mut earliest = vec![f64::NAN; 1];
+    let makespan = TimingAnalysis::forward(&g, &order, &durations, &mut earliest);
+    assert_eq!(earliest, a.earliest);
+    assert_eq!(makespan, a.makespan);
 }
 
 #[test]

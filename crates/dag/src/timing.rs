@@ -11,7 +11,7 @@
 use crate::graph::{Dag, DagError, EdgeId, NodeId};
 
 /// Result of a forward/backward pass over an edge-weighted DAG.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TimingAnalysis {
     /// Earliest time each node (event) can occur.
     pub earliest: Vec<f64>,
@@ -49,14 +49,47 @@ impl TimingAnalysis {
         order: &[NodeId],
         mut dur: impl FnMut(EdgeId, &E) -> f64,
     ) -> TimingAnalysis {
-        debug_assert_eq!(order.len(), dag.node_count());
-        let n = dag.node_count();
-        let mut earliest = vec![0.0f64; n];
         // Cache durations so the closure runs once per edge.
-        let mut durations = vec![0.0f64; dag.edge_count()];
-        for r in dag.edge_refs() {
-            durations[r.id.index()] = dur(r.id, r.payload);
+        let durations: Vec<f64> = dag.edge_refs().map(|r| dur(r.id, r.payload)).collect();
+        let mut timing = TimingAnalysis::default();
+        timing.recompute(dag, order, &durations);
+        timing
+    }
+
+    /// [`TimingAnalysis::compute_with_order`] in place, reading each edge's
+    /// duration from `durations` (indexed by edge id) and reusing this
+    /// analysis's buffers — the allocation-free form for a pass per
+    /// iteration over a structurally static graph.
+    pub fn recompute<N, E>(&mut self, dag: &Dag<N, E>, order: &[NodeId], durations: &[f64]) {
+        self.makespan = Self::forward(dag, order, durations, &mut self.earliest);
+        self.latest.clear();
+        self.latest.resize(dag.node_count(), self.makespan);
+        for &u in order.iter().rev() {
+            for e in dag.out_edges(u) {
+                let cand = self.latest[e.dst.index()] - durations[e.id.index()];
+                if cand < self.latest[u.index()] {
+                    self.latest[u.index()] = cand;
+                }
+            }
         }
+    }
+
+    /// The forward half alone: writes earliest event times into
+    /// `earliest` and returns the makespan, for callers that need only
+    /// the schedule length.
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts that `order` covers every node exactly once.
+    pub fn forward<N, E>(
+        dag: &Dag<N, E>,
+        order: &[NodeId],
+        durations: &[f64],
+        earliest: &mut Vec<f64>,
+    ) -> f64 {
+        debug_assert_eq!(order.len(), dag.node_count());
+        earliest.clear();
+        earliest.resize(dag.node_count(), 0.0);
         for &u in order {
             for e in dag.out_edges(u) {
                 let cand = earliest[u.index()] + durations[e.id.index()];
@@ -65,21 +98,7 @@ impl TimingAnalysis {
                 }
             }
         }
-        let makespan = earliest.iter().copied().fold(0.0, f64::max);
-        let mut latest = vec![makespan; n];
-        for &u in order.iter().rev() {
-            for e in dag.out_edges(u) {
-                let cand = latest[e.dst.index()] - durations[e.id.index()];
-                if cand < latest[u.index()] {
-                    latest[u.index()] = cand;
-                }
-            }
-        }
-        TimingAnalysis {
-            earliest,
-            latest,
-            makespan,
-        }
+        earliest.iter().copied().fold(0.0, f64::max)
     }
 
     /// Slack of edge `e = (u, v)` with duration `d`:
