@@ -12,7 +12,7 @@ use perseus_pipeline::{
 use perseus_telemetry::Telemetry;
 
 use crate::cache::PlanCache;
-use crate::context::{CoreError, PlanContext};
+use crate::context::{CoreError, NodePlanInfo, PlanContext};
 use crate::cut::{get_next_pareto_arena, CutOutcome, CutSolver, Phase, SolverArena};
 use crate::energy::{pipeline_energy, PipelineEnergy};
 use crate::fingerprint::{plan_fingerprint_with_power, PlanFingerprint};
@@ -532,7 +532,6 @@ impl FrontierSolver {
             warm_start_hits: AtomicU64::new(0),
             augmenting_paths: AtomicU64::new(0),
             augmenting_paths_saved: AtomicU64::new(0),
-
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             cache_inserts: AtomicU64::new(0),
@@ -669,18 +668,18 @@ impl FrontierSolver {
         // its duration changed (and re-summed in node order), and each
         // kept point is lowered against the previously kept one.
         raw_points.reverse();
-        let comps: Vec<(NodeId, &crate::context::NodePlanInfo)> = dag
+        let comps: Vec<(NodeId, &NodePlanInfo)> = dag
             .node_ids()
             .filter_map(|id| ctx.info(id).map(|info| (id, info)))
             .collect();
-        let mut fitted = vec![(f64::NAN.to_bits(), 0.0f64); dag.node_count()];
+        // Per computation: (duration bits, fitted energy at them).
+        let mut fitted = vec![(f64::NAN.to_bits(), 0.0f64); comps.len()];
         let mut lowering = Lowering::new(ctx, order, None);
         let mut points: Vec<FrontierPoint> = Vec::with_capacity(raw_points.len());
         let mut best_energy = f64::INFINITY;
         for (time, durations) in raw_points {
             let mut planned_energy = 0.0;
-            for &(id, info) in &comps {
-                let (key, energy) = &mut fitted[id.index()];
+            for (&(id, info), (key, energy)) in comps.iter().zip(&mut fitted) {
                 let t = durations[id.index()];
                 if *key != t.to_bits() {
                     *key = t.to_bits();
