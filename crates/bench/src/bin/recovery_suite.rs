@@ -134,7 +134,7 @@ fn main() {
     drop(durable); // crash
 
     let t0 = std::time::Instant::now();
-    let recovered = PerseusServer::recover(&snap_dir).expect("recover from snapshot");
+    let recovered = PerseusServer::open(&snap_dir).expect("recover from snapshot");
     let snap_recovery = t0.elapsed();
     claim(
         "post-recovery state bit-identical to uninterrupted run (snapshot)",
@@ -154,7 +154,7 @@ fn main() {
     drop(durable); // crash before any snapshot
 
     let t0 = std::time::Instant::now();
-    let recovered = PerseusServer::recover(&wal_dir).expect("recover from journal");
+    let recovered = PerseusServer::open(&wal_dir).expect("recover from journal");
     let wal_recovery = t0.elapsed();
     claim(
         "post-recovery state bit-identical to uninterrupted run (journal-only)",

@@ -7,9 +7,10 @@
 //! [`FollowerServer`], which appends them to its *own* journal first
 //! (ship-then-apply — a crashed follower recovers from its local WAL,
 //! exactly like a crashed leader) and then applies them through the same
-//! `replay_event` path recovery uses. Apply lag is bounded: the follower
-//! keeps at most `max_lag` shipped-but-unapplied records, so promotion
-//! replays at most that many — never from genesis.
+//! journal-less transitions recovery uses (`PerseusServer::replay`).
+//! Apply lag is bounded: the follower keeps at most `max_lag`
+//! shipped-but-unapplied records, so promotion replays at most that many
+//! — never from genesis.
 //!
 //! When the leader compacts its journal below the follower's position,
 //! the gap is bridged by a checkpoint transfer
@@ -29,7 +30,7 @@ use std::path::Path;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use perseus_store::{load_snapshot, write_snapshot, Journal, Persist, Record, StoreError};
+use perseus_store::{write_snapshot, Journal, Persist, Record, StoreError};
 use perseus_telemetry::Telemetry;
 
 use crate::server::{PerseusServer, Role, ServerError};
@@ -114,31 +115,9 @@ impl FollowerServer {
         let snapshot_path = dir.join(SNAPSHOT_FILE);
         let state = PerseusServer::with_telemetry(n_workers, telemetry);
         state.set_role(Role::Follower);
-
-        // Tolerate a corrupt local snapshot the same way leader recovery
-        // does: fall back to journal-only replay.
-        let snapshot = match load_snapshot(&snapshot_path) {
-            Ok(None) => None,
-            Ok(Some(bytes)) => ServerSnapshot::from_bytes(&bytes).ok(),
-            Err(StoreError::Corrupt { .. }) => None,
-            Err(e) => return Err(ServerError::Store(e)),
-        };
-        let mut applied_seq = snapshot.as_ref().map_or(0, |s| s.applied_seq);
-        if let Some(snap) = snapshot {
-            state.restore_snapshot(snap);
-        }
-        for rec in &records {
-            if rec.seq <= applied_seq {
-                continue;
-            }
-            match JournalEvent::from_bytes(&rec.payload) {
-                Ok(event) => {
-                    state.replay_event(event);
-                    applied_seq = rec.seq;
-                }
-                Err(_) => break,
-            }
-        }
+        // Recovery exactly as a leader's; the durability counters only
+        // matter to a store, which a follower gets on promotion.
+        let (applied_seq, _) = state.recover_from(&snapshot_path, &records)?;
         let follower = FollowerServer {
             snapshot_path,
             journal,
@@ -261,7 +240,7 @@ impl FollowerServer {
             .pending_bytes
             .saturating_sub(rec.payload.len() as u64 + FRAME_OVERHEAD);
         if let Ok(event) = JournalEvent::from_bytes(&rec.payload) {
-            self.state.replay_event(event);
+            self.state.replay(event);
         }
         self.applied_seq = rec.seq;
     }

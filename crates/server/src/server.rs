@@ -530,6 +530,7 @@ impl DriftAccum {
 }
 
 /// Mutable per-job state, guarded by the job's `RwLock`.
+#[derive(Default)]
 struct JobMut {
     frontier: Option<Arc<ParetoFrontier>>,
     /// Epoch of the submission that produced `frontier` (0 = none yet).
@@ -588,7 +589,83 @@ struct Job {
     state: RwLock<JobMut>,
 }
 
+/// A characterization's slow half, computed before any lock is taken:
+/// the frontier (solved, or looked up in the fleet plan cache) and its
+/// Kareus sleep plans.
+struct Plan {
+    frontier: Arc<ParetoFrontier>,
+    sleep: Option<Vec<SleepPlan>>,
+    /// The frontier's structural fingerprint, when a plan cache was
+    /// consulted.
+    fingerprint: Option<PlanFingerprint>,
+    /// Whether the cache answered without running the solver.
+    cache_hit: bool,
+    /// The cache to drop the job's previous fingerprint from when this
+    /// plan moves the job to a new one. Replay clears it: a recovered
+    /// cache replays its own invalidations from its write-ahead log.
+    cache: Option<Arc<PlanCache>>,
+}
+
 impl Job {
+    /// A freshly registered job: solver artifacts built, nothing
+    /// characterized, every counter at zero.
+    fn new(
+        name: String,
+        pipe: PipelineDag,
+        gpu: GpuSpec,
+        power: Option<PowerStateModel>,
+        telemetry: &Telemetry,
+    ) -> Job {
+        Job {
+            solver: FrontierSolver::with_telemetry(&pipe, telemetry.clone()),
+            name,
+            pipe,
+            gpu,
+            power,
+            next_epoch: AtomicU64::new(0),
+            degraded_lookups: AtomicU64::new(0),
+            faults_injected: AtomicU64::new(0),
+            telemetry: telemetry.clone(),
+            state: RwLock::new(JobMut::default()),
+        }
+    }
+
+    /// Characterizes `profiles` — or looks the frontier up in `cache`,
+    /// which skips the solver and even the profile fits — and derives the
+    /// sleep plans. Runs without any lock held, so straggler lookups keep
+    /// answering from the previous frontier meanwhile.
+    fn plan(
+        &self,
+        profiles: &ProfileDb<OpKey>,
+        opts: &FrontierOptions,
+        cache: Option<&Arc<PlanCache>>,
+    ) -> Result<Plan, CoreError> {
+        let (frontier, cache_hit, fingerprint) = match cache {
+            Some(cache) => {
+                let (frontier, hit, fp) = self.solver.characterize_cached(
+                    &self.pipe,
+                    &self.gpu,
+                    profiles,
+                    opts,
+                    self.power.as_ref(),
+                    cache,
+                )?;
+                (frontier, hit, Some(fp))
+            }
+            None => {
+                let ctx = PlanContext::new(&self.pipe, &self.gpu, profiles.clone())?;
+                (Arc::new(self.solver.characterize(&ctx, opts)?), false, None)
+            }
+        };
+        Ok(Plan {
+            sleep: self.sleep_plans(profiles, &frontier)?,
+            frontier,
+            fingerprint,
+            cache_hit,
+            cache: cache.cloned(),
+        })
+    }
+
     /// Kareus sleep plans for every point of `frontier`, when this job was
     /// registered with power states; `None` for frequency-only jobs.
     /// Derived from the frontier's schedules alone (never from `T'`), so
@@ -741,11 +818,287 @@ impl Drop for WorkerPool {
     }
 }
 
+/// What every state transition touches: the jobs map and the durable
+/// store. Shared with the planning workers, so a finished
+/// characterization installs through the same [`Core::apply`] as a live
+/// call, and snapshots like one.
+struct Core {
+    jobs: RwLock<HashMap<String, Arc<Job>>>,
+    /// Durable backing (journal + snapshots); `None` for in-memory
+    /// servers. Lock order everywhere: journal → jobs map → job state.
+    store: Option<Arc<Store>>,
+    telemetry: Telemetry,
+}
+
+impl Core {
+    fn job(&self, name: &str) -> Result<Arc<Job>, ServerError> {
+        self.jobs
+            .read()
+            .get(name)
+            .map(Arc::clone)
+            .ok_or_else(|| ServerError::UnknownJob(name.to_string()))
+    }
+
+    /// A live transition: encodes `event` before any lock is taken and
+    /// holds the journal lock of a durable server across [`Core::apply`].
+    /// Folding a snapshot that became due is left to the caller (see
+    /// [`Core::maybe_snapshot`]).
+    fn commit(
+        &self,
+        event: JournalEvent,
+        plan: Option<Plan>,
+    ) -> Result<Vec<Deployment>, ServerError> {
+        let bytes = self.store.as_ref().map(|_| event.to_bytes());
+        let mut journal = self.store.as_ref().map(|s| s.journal.lock());
+        self.apply(event, plan, journal.as_deref_mut().zip(bytes.as_deref()))
+    }
+
+    /// The append step of [`Core::apply`]: writes the encoded event to
+    /// the journal a live call holds locked. Nothing to do for replay or
+    /// an in-memory server.
+    fn append(&self, journal: Option<(&mut Journal, &[u8])>) -> Result<(), ServerError> {
+        if let (Some(store), Some((journal, bytes))) = (self.store.as_deref(), journal) {
+            store.append_locked(journal, bytes)?;
+        }
+        Ok(())
+    }
+
+    /// The one transition per journal event, shared by live calls, crash
+    /// recovery and follower replication. Each arm runs three steps in
+    /// order:
+    ///
+    /// 1. check — may fail, changes nothing;
+    /// 2. append — only when `journal` is passed (a live call on a
+    ///    durable server); a failed append returns
+    ///    [`ServerError::Store`] with the state untouched;
+    /// 3. mutate and deploy — cannot fail.
+    ///
+    /// A characterization is applied with the [`Plan`] computed off-lock
+    /// beforehand. Returns the deployments the transition issued.
+    fn apply(
+        &self,
+        event: JournalEvent,
+        plan: Option<Plan>,
+        journal: Option<(&mut Journal, &[u8])>,
+    ) -> Result<Vec<Deployment>, ServerError> {
+        if let JournalEvent::RegisterJob {
+            name,
+            pipe,
+            gpu,
+            power,
+        } = event
+        {
+            // Build the solver artifacts before taking the map lock.
+            let job = Job::new(name, pipe, gpu, power, &self.telemetry);
+            let mut jobs = self.jobs.write();
+            if jobs.contains_key(&job.name) {
+                return Err(ServerError::DuplicateJob(job.name));
+            }
+            self.append(journal)?;
+            jobs.insert(job.name.clone(), Arc::new(job));
+            return Ok(Vec::new());
+        }
+        let job = self.job(event.name())?;
+        let mut state = job.state.write();
+        match event {
+            JournalEvent::RegisterJob { .. } => unreachable!("registration is applied above"),
+            JournalEvent::Characterized {
+                name,
+                epoch,
+                profiles,
+                opts,
+            } => {
+                // A newer submission already deployed, or this record
+                // was replayed twice.
+                if state.characterized_epoch >= epoch {
+                    return Err(ServerError::Superseded(name));
+                }
+                let plan = plan.expect("a characterization is applied with its plan");
+                self.append(journal)?;
+                job.next_epoch.fetch_max(epoch, Ordering::Relaxed);
+                state.characterized_epoch = epoch;
+                state.frontier = Some(plan.frontier);
+                state.profiles = Some(profiles);
+                state.sleep = plan.sleep;
+                state.degraded = false;
+                state.last_opts = Some(opts);
+                if let Some(fp) = plan.fingerprint {
+                    // Epoch-based invalidation on re-characterization:
+                    // when fresh profiles move this job to a *different*
+                    // structural fingerprint, the entry under the old one
+                    // describes profiles the fleet has watched drift —
+                    // open a new cache epoch and drop it.
+                    if let (Some(cache), Some(prev)) = (plan.cache, state.plan_fingerprint) {
+                        if prev != fp {
+                            cache.advance_epoch();
+                            cache.invalidate(prev);
+                        }
+                    }
+                    state.plan_fingerprint = Some(fp);
+                }
+                Ok(vec![job.deploy_locked(&mut state)])
+            }
+            JournalEvent::SetStraggler {
+                name,
+                gpu_id,
+                delay_s,
+                degree,
+            } => {
+                if state.frontier.is_none() {
+                    return Err(ServerError::NotCharacterized(name));
+                }
+                self.append(journal)?;
+                if delay_s <= 0.0 {
+                    if degree > 1.0 {
+                        state.stragglers.insert(gpu_id, degree);
+                    } else {
+                        state.stragglers.remove(&gpu_id);
+                    }
+                    return Ok(vec![job.deploy_locked(&mut state)]);
+                }
+                let fire_at = state.clock_s + delay_s;
+                state.pending.push(PendingStraggler {
+                    fire_at,
+                    gpu_id,
+                    degree,
+                });
+                Ok(Vec::new())
+            }
+            JournalEvent::AdvanceTime { dt_s, .. } => {
+                self.append(journal)?;
+                state.clock_s += dt_s.max(0.0);
+                // The deployments fired here are pure functions of the
+                // clock and the journaled pending set, so only the clock
+                // advance is recorded; replay re-fires them identically.
+                Ok(job.fire_due_locked(&mut state))
+            }
+            JournalEvent::SkewClock { skew_s, .. } => {
+                self.append(journal)?;
+                job.faults_injected.fetch_add(1, Ordering::Relaxed);
+                state.clock_s = (state.clock_s + skew_s).max(0.0);
+                Ok(job.fire_due_locked(&mut state))
+            }
+            JournalEvent::FreqCap { name, cap } => {
+                let (Some(frontier), Some(profiles)) = (&state.frontier, &state.profiles) else {
+                    return Err(ServerError::NotCharacterized(name));
+                };
+                let ctx = PlanContext::new(&job.pipe, &job.gpu, profiles.clone())?;
+                let clamped = frontier.clamp_to_freq_cap(&ctx, job.gpu.clamp_freq(cap))?;
+                // Capped schedules stretch, moving and widening bubbles:
+                // re-run the Kareus pass against the capped timeline.
+                let sleep = job.power.as_ref().map(|model| {
+                    clamped
+                        .points()
+                        .iter()
+                        .map(|p| insert_sleep(&ctx, &p.schedule, model))
+                        .collect()
+                });
+                self.append(journal)?;
+                job.faults_injected.fetch_add(1, Ordering::Relaxed);
+                state.frontier = Some(Arc::new(clamped));
+                state.sleep = sleep;
+                Ok(vec![job.deploy_locked(&mut state)])
+            }
+            JournalEvent::Degraded { .. } => {
+                // Before the first frontier there is nothing to degrade
+                // to: a no-op, never journaled.
+                if state.frontier.is_none() {
+                    return Ok(Vec::new());
+                }
+                self.append(journal)?;
+                state.degraded = true;
+                Ok(Vec::new())
+            }
+        }
+    }
+
+    /// Serializes the jobs map for a snapshot or fingerprint. Jobs are
+    /// sorted by name and straggler maps by accelerator id, so equal
+    /// states always yield equal bytes. `for_fingerprint` zeroes the
+    /// in-flight submission counter (see
+    /// [`PerseusServer::state_fingerprint`]).
+    fn snapshot_jobs(&self, for_fingerprint: bool) -> Vec<JobSnapshot> {
+        let jobs = self.jobs.read();
+        let mut names: Vec<&String> = jobs.keys().collect();
+        names.sort();
+        names
+            .into_iter()
+            .map(|name| {
+                let job = &jobs[name];
+                let state = job.state.read();
+                let mut stragglers: Vec<(usize, f64)> =
+                    state.stragglers.iter().map(|(k, v)| (*k, *v)).collect();
+                stragglers.sort_by_key(|&(gpu_id, _)| gpu_id);
+                JobSnapshot {
+                    name: job.name.clone(),
+                    pipe: job.pipe.clone(),
+                    gpu: job.gpu.clone(),
+                    power: job.power.clone(),
+                    next_epoch: if for_fingerprint {
+                        0
+                    } else {
+                        job.next_epoch.load(Ordering::Relaxed)
+                    },
+                    characterized_epoch: state.characterized_epoch,
+                    frontier: state.frontier.as_ref().map(|f| (**f).clone()),
+                    profiles: state.profiles.clone(),
+                    sleep: state.sleep.clone(),
+                    degraded: state.degraded,
+                    stragglers,
+                    pending: state
+                        .pending
+                        .iter()
+                        .map(|p| (p.fire_at, p.gpu_id, p.degree))
+                        .collect(),
+                    clock_s: state.clock_s,
+                    version: state.version,
+                    deployed: state.deployed.clone(),
+                }
+            })
+            .collect()
+    }
+
+    /// See [`PerseusServer::snapshot_now`].
+    fn snapshot_now(&self) -> Result<(), ServerError> {
+        let Some(store) = self.store.as_ref() else {
+            return Ok(());
+        };
+        let mut journal = store.journal.lock();
+        let snap = ServerSnapshot {
+            applied_seq: journal.next_seq().saturating_sub(1),
+            jobs: self.snapshot_jobs(false),
+        };
+        write_snapshot(&store.snapshot_path, &snap.to_bytes())?;
+        journal.compact_below(snap.applied_seq)?;
+        store.appends_since_snapshot.store(0, Ordering::Relaxed);
+        store.snapshots_written.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Snapshots if enough appends accumulated since the last one.
+    /// Called after every successful public mutation and fault
+    /// containment, once all locks are released. A characterization
+    /// install on a worker leaves it to the next of those: a snapshot
+    /// there would stall every characterization queued behind it.
+    /// Snapshot failures are swallowed here: a full disk degrades
+    /// durability (longer replay), never the serving path.
+    fn maybe_snapshot(&self) {
+        let Some(store) = self.store.as_ref() else {
+            return;
+        };
+        if store.appends_since_snapshot.load(Ordering::Relaxed)
+            >= store.snapshot_every.load(Ordering::Relaxed)
+        {
+            let _ = self.snapshot_now();
+        }
+    }
+}
+
 /// The Perseus server: one per training cluster, managing any number of
 /// jobs. `Send + Sync` — share it behind an `Arc` and call it from any
 /// thread.
 pub struct PerseusServer {
-    jobs: RwLock<HashMap<String, Arc<Job>>>,
+    core: Arc<Core>,
     pool: WorkerPool,
     /// Installed by the chaos layer; `None` in production.
     injector: RwLock<Option<Arc<dyn FaultInjector>>>,
@@ -765,9 +1118,6 @@ pub struct PerseusServer {
     /// Whether the lookup-latency histogram of the first observed job has
     /// been attached to the pipeline's SLO engine.
     obs_lookup_attached: std::sync::atomic::AtomicBool,
-    /// Durable backing (journal + snapshots); `None` for in-memory
-    /// servers. Lock order everywhere: journal → jobs map → job state.
-    store: Option<Arc<Store>>,
     /// The fleet-wide cross-job plan cache, when attached; consulted by
     /// every characterization before the solver runs.
     plan_cache: RwLock<Option<Arc<PlanCache>>>,
@@ -780,8 +1130,8 @@ pub struct PerseusServer {
     max_inflight: AtomicU64,
     /// [`Role::Leader`] (0) or [`Role::Follower`] (1). Followers reject
     /// every public mutator with [`ServerError::NotLeader`]; replicated
-    /// applies go through [`PerseusServer::replay_event`], which bypasses
-    /// the guard by construction.
+    /// applies go through [`PerseusServer::replay`], which bypasses the
+    /// guard by construction.
     role: std::sync::atomic::AtomicU8,
     /// Where [`ServerError::NotLeader`] points callers (empty = unknown).
     leader_hint: RwLock<String>,
@@ -832,7 +1182,11 @@ impl PerseusServer {
     /// submission; every job's [`FrontierSolver`] inherits the handle.
     pub fn with_telemetry(n_workers: usize, telemetry: Telemetry) -> PerseusServer {
         PerseusServer {
-            jobs: RwLock::new(HashMap::new()),
+            core: Arc::new(Core {
+                jobs: RwLock::new(HashMap::new()),
+                store: None,
+                telemetry: telemetry.clone(),
+            }),
             pool: WorkerPool::new(n_workers),
             injector: RwLock::new(None),
             telemetry,
@@ -840,7 +1194,6 @@ impl PerseusServer {
             flight_dump: RwLock::new(None),
             obs: Arc::new(ObsPipeline::default()),
             obs_lookup_attached: std::sync::atomic::AtomicBool::new(false),
-            store: None,
             plan_cache: RwLock::new(None),
             inflight: Arc::new(AtomicU64::new(0)),
             peak_inflight: AtomicU64::new(0),
@@ -874,17 +1227,6 @@ impl PerseusServer {
             .map_or(1, |n| n.get())
             .min(4);
         PerseusServer::open_with(dir, n, Telemetry::disabled())
-    }
-
-    /// Recovers a durable server from `dir`. Alias of
-    /// [`PerseusServer::open`] — opening *is* recovery; the name exists
-    /// for call sites whose intent is restart-after-crash.
-    ///
-    /// # Errors
-    ///
-    /// As [`PerseusServer::open`].
-    pub fn recover(dir: impl AsRef<Path>) -> Result<PerseusServer, ServerError> {
-        PerseusServer::open(dir)
     }
 
     /// [`PerseusServer::open`] with an explicit worker count and
@@ -931,85 +1273,17 @@ impl PerseusServer {
     ) -> Result<PerseusServer, ServerError> {
         std::fs::create_dir_all(dir).map_err(StoreError::Io)?;
         let (journal, records) = Journal::open(dir.join(JOURNAL_FILE))?;
-        let snapshot_path = dir.join(SNAPSHOT_FILE);
         let mut server = PerseusServer::with_telemetry(n_workers, telemetry);
         *server.plan_cache.write() = cache;
         let store = Arc::new(Store::new(
             journal,
-            snapshot_path.clone(),
+            dir.join(SNAPSHOT_FILE),
             server.telemetry.clone(),
         ));
-
-        // A corrupt snapshot is tolerated: fall back to journal-only
-        // replay (the journal is only compacted *after* a snapshot lands,
-        // so a snapshot that never got readable leaves the full journal).
-        let mut corrupt_snapshot = false;
-        let snapshot = match load_snapshot(&snapshot_path) {
-            Ok(None) => None,
-            Ok(Some(bytes)) => match ServerSnapshot::from_bytes(&bytes) {
-                Ok(snap) => Some(snap),
-                Err(_) => {
-                    corrupt_snapshot = true;
-                    None
-                }
-            },
-            Err(StoreError::Corrupt { .. }) => {
-                corrupt_snapshot = true;
-                None
-            }
-            Err(e) => return Err(ServerError::Store(e)),
-        };
-        if corrupt_snapshot {
-            store.corrupt_snapshots.fetch_add(1, Ordering::Relaxed);
-        }
-        let had_state = snapshot.is_some() || corrupt_snapshot || !records.is_empty();
-        let applied_seq = snapshot.as_ref().map_or(0, |s| s.applied_seq);
-        if let Some(snap) = snapshot {
-            store.recharacterizations_avoided.fetch_add(
-                snap.jobs.iter().filter(|j| j.frontier.is_some()).count() as u64,
-                Ordering::Relaxed,
-            );
-            server.restore_snapshot(snap);
-        }
-
-        // Replay the journal tail past the snapshot watermark. The store
-        // is still detached, so the mutators called by `replay_event`
-        // apply state without re-journaling. A record whose frame passed
-        // CRC but whose payload fails to decode poisons everything after
-        // it: stop, count it, and let the post-recovery snapshot compact
-        // it away so it is never read again.
-        for rec in &records {
-            if rec.seq <= applied_seq {
-                continue;
-            }
-            match JournalEvent::from_bytes(&rec.payload) {
-                Ok(event) => {
-                    store.replayed_events.fetch_add(1, Ordering::Relaxed);
-                    match server.replay_event(event) {
-                        ReplayOutcome::CharacterizedSolved => {
-                            store
-                                .recharacterizations_replayed
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                        ReplayOutcome::CharacterizedCached => {
-                            store
-                                .recharacterizations_avoided
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                        ReplayOutcome::Other => {}
-                    }
-                }
-                Err(_) => {
-                    store.truncated_records.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-            }
-        }
-        if had_state {
-            store.record_recovery();
-        }
-        server.store = Some(store);
-        if had_state {
+        server.attach_store(Arc::clone(&store));
+        let (_, found) = server.recover_from(&store.snapshot_path, &records)?;
+        store.record_recovery(&found);
+        if found.recoveries > 0 {
             // Fold the replayed tail into a fresh snapshot and compact:
             // recovery work is never repeated, and a poisoned tail is
             // dropped for good.
@@ -1018,172 +1292,141 @@ impl PerseusServer {
         Ok(server)
     }
 
+    /// Loads the snapshot at `snapshot_path` and replays every record of
+    /// `records` past its watermark (see [`PerseusServer::replay`]).
+    /// Shared by [`PerseusServer::open`] and [`crate::FollowerServer`].
+    /// Returns the last applied sequence and what was found: `recoveries`
+    /// is 1 when there was any state to restore.
+    ///
+    /// # Errors
+    ///
+    /// [`ServerError::Store`] if the snapshot cannot be read. A corrupt
+    /// snapshot is not an error: it falls back to journal-only replay
+    /// (the journal is only compacted *after* a snapshot lands, so a
+    /// snapshot that never got readable leaves the full journal).
+    pub(crate) fn recover_from(
+        &self,
+        snapshot_path: &Path,
+        records: &[Record],
+    ) -> Result<(u64, DurabilityStats), ServerError> {
+        let mut found = DurabilityStats::default();
+        let snapshot = match load_snapshot(snapshot_path)
+            .map(|bytes| bytes.map(|b| ServerSnapshot::from_bytes(&b)))
+        {
+            Ok(None) => None,
+            Ok(Some(Ok(snap))) => Some(snap),
+            Ok(Some(Err(_))) | Err(StoreError::Corrupt { .. }) => {
+                found.corrupt_snapshots = 1;
+                None
+            }
+            Err(e) => return Err(ServerError::Store(e)),
+        };
+        found.recoveries =
+            u64::from(snapshot.is_some() || found.corrupt_snapshots > 0 || !records.is_empty());
+        let mut applied_seq = snapshot.as_ref().map_or(0, |s| s.applied_seq);
+        if let Some(snap) = snapshot {
+            found.recharacterizations_avoided =
+                snap.jobs.iter().filter(|j| j.frontier.is_some()).count() as u64;
+            self.restore_snapshot(snap);
+        }
+        // A record whose frame passed CRC but whose payload fails to
+        // decode poisons everything after it: stop and count it (the
+        // leader's post-recovery snapshot compacts it away for good).
+        for rec in records {
+            if rec.seq <= applied_seq {
+                continue;
+            }
+            let Ok(event) = JournalEvent::from_bytes(&rec.payload) else {
+                found.truncated_records += 1;
+                break;
+            };
+            found.replayed_events += 1;
+            match self.replay(event) {
+                ReplayOutcome::CharacterizedSolved => found.recharacterizations_replayed += 1,
+                ReplayOutcome::CharacterizedCached => found.recharacterizations_avoided += 1,
+                ReplayOutcome::Other => {}
+            }
+            applied_seq = rec.seq;
+        }
+        Ok((applied_seq, found))
+    }
+
     /// Rebuilds the jobs map from a snapshot. Solvers are not persisted:
     /// each is rebuilt from the job's pipeline (deterministic artifacts).
     /// Volatile observability counters (degraded lookups, faults
     /// absorbed) restart at zero, like any process-local counter.
     pub(crate) fn restore_snapshot(&self, snap: ServerSnapshot) {
-        let mut jobs = self.jobs.write();
+        let mut jobs = self.core.jobs.write();
         for js in snap.jobs {
-            let solver = FrontierSolver::with_telemetry(&js.pipe, self.telemetry.clone());
-            let name = js.name.clone();
-            let job = Arc::new(Job {
-                name: js.name,
-                pipe: js.pipe,
-                gpu: js.gpu,
-                power: js.power,
-                solver,
-                next_epoch: AtomicU64::new(js.next_epoch),
-                degraded_lookups: AtomicU64::new(0),
-                faults_injected: AtomicU64::new(0),
-                telemetry: self.telemetry.clone(),
-                state: RwLock::new(JobMut {
-                    frontier: js.frontier.map(Arc::new),
-                    characterized_epoch: js.characterized_epoch,
-                    profiles: js.profiles,
-                    sleep: js.sleep,
-                    degraded: js.degraded,
-                    stragglers: js.stragglers.into_iter().collect(),
-                    pending: js
-                        .pending
-                        .into_iter()
-                        .map(|(fire_at, gpu_id, degree)| PendingStraggler {
-                            fire_at,
-                            gpu_id,
-                            degree,
-                        })
-                        .collect(),
-                    clock_s: js.clock_s,
-                    version: js.version,
-                    deployed: js.deployed,
-                    plan_fingerprint: None,
-                    last_opts: None,
-                    drift: HashMap::new(),
-                }),
+            let mut job = Job::new(js.name, js.pipe, js.gpu, js.power, &self.telemetry);
+            job.next_epoch = AtomicU64::new(js.next_epoch);
+            job.state = RwLock::new(JobMut {
+                frontier: js.frontier.map(Arc::new),
+                characterized_epoch: js.characterized_epoch,
+                profiles: js.profiles,
+                sleep: js.sleep,
+                degraded: js.degraded,
+                stragglers: js.stragglers.into_iter().collect(),
+                pending: js
+                    .pending
+                    .into_iter()
+                    .map(|(fire_at, gpu_id, degree)| PendingStraggler {
+                        fire_at,
+                        gpu_id,
+                        degree,
+                    })
+                    .collect(),
+                clock_s: js.clock_s,
+                version: js.version,
+                deployed: js.deployed,
+                ..JobMut::default()
             });
-            jobs.insert(name, job);
+            jobs.insert(job.name.clone(), Arc::new(job));
         }
     }
 
-    /// Applies one journaled event during recovery or replication. The
-    /// store is detached while this runs (recovery) or never attached
-    /// (follower apply), so the mutators apply state without
-    /// re-journaling. Deliberately bypasses the leader guard — a
-    /// follower's *only* write path is this one. Errors are ignored by
-    /// design: the journal only records events that succeeded, and
-    /// truncation only removes suffixes, so every event's prerequisites
-    /// are present; a decode drift that violates that merely leaves the
-    /// event unapplied.
-    pub(crate) fn replay_event(&self, event: JournalEvent) -> ReplayOutcome {
-        match event {
-            JournalEvent::RegisterJob {
-                name,
-                pipe,
-                gpu,
-                power,
-            } => {
-                let _ = self.register_job_inner(JobSpec {
-                    name,
-                    pipe,
-                    gpu,
-                    power_states: power,
-                });
+    /// Applies one journaled event through the same transition as a live
+    /// call, without a journal: crash recovery and follower replication.
+    /// Deliberately bypasses the leader guard — a follower's *only* write
+    /// path is this one. A characterization is re-planned first (the
+    /// deterministic solver, or a lookup in the attached plan cache),
+    /// unless the job already carries this (or a newer) epoch: replaying
+    /// a duplicated record is a no-op, which is what makes recovery
+    /// idempotent. Failed checks are ignored by design: the journal only
+    /// records events whose checks passed, and truncation only removes
+    /// suffixes, so every event's prerequisites are present; a decode
+    /// drift that violates that merely leaves the event unapplied.
+    pub(crate) fn replay(&self, event: JournalEvent) -> ReplayOutcome {
+        let mut outcome = ReplayOutcome::Other;
+        let mut plan = None;
+        if let JournalEvent::Characterized {
+            name,
+            epoch,
+            profiles,
+            opts,
+        } = &event
+        {
+            outcome = ReplayOutcome::CharacterizedSolved;
+            let Ok(job) = self.core.job(name) else {
+                return outcome;
+            };
+            if job.state.read().characterized_epoch >= *epoch {
+                return outcome;
             }
-            JournalEvent::Characterized {
-                name,
-                epoch,
-                profiles,
-                opts,
-            } => return self.replay_characterized(&name, epoch, profiles, &opts),
-            JournalEvent::SetStraggler {
-                name,
-                gpu_id,
-                delay_s,
-                degree,
-            } => {
-                let _ = self.set_straggler_inner(&name, gpu_id, delay_s, degree);
+            let cache = self.plan_cache.read().clone();
+            let Ok(planned) = job.plan(profiles, opts, cache.as_ref()) else {
+                return outcome;
+            };
+            if planned.cache_hit {
+                outcome = ReplayOutcome::CharacterizedCached;
             }
-            JournalEvent::AdvanceTime { name, dt_s } => {
-                let _ = self.advance_time_inner(&name, dt_s);
-            }
-            JournalEvent::SkewClock { name, skew_s } => {
-                let _ = self.skew_clock_inner(&name, skew_s);
-            }
-            JournalEvent::FreqCap { name, cap } => {
-                let _ = self.apply_freq_cap_inner(&name, cap);
-            }
-            JournalEvent::Degraded { name } => {
-                if let Ok(job) = self.job(&name) {
-                    let mut state = job.state.write();
-                    if state.frontier.is_some() {
-                        state.degraded = true;
-                    }
-                }
-            }
+            plan = Some(Plan {
+                cache: None,
+                ..planned
+            });
         }
-        ReplayOutcome::Other
-    }
-
-    /// Replays a winning characterization: re-runs the deterministic
-    /// solver on the journaled profiles and deploys, exactly as the
-    /// original worker did — unless an attached plan cache already holds
-    /// the structure's frontier, in which case the lookup replaces the
-    /// solve (the `recharacterizations_avoided` path). Skipped if the job
-    /// already carries this (or a newer) epoch — replaying a duplicated
-    /// record is a no-op, which is what makes recovery idempotent.
-    fn replay_characterized(
-        &self,
-        name: &str,
-        epoch: u64,
-        profiles: ProfileDb<OpKey>,
-        opts: &FrontierOptions,
-    ) -> ReplayOutcome {
-        let Ok(job) = self.job(name) else {
-            return ReplayOutcome::CharacterizedSolved;
-        };
-        job.next_epoch.fetch_max(epoch, Ordering::Relaxed);
-        if job.state.read().characterized_epoch >= epoch {
-            return ReplayOutcome::CharacterizedSolved;
-        }
-        let cache = self.plan_cache.read().clone();
-        let outcome = match cache.as_deref() {
-            Some(cache) => job.solver.characterize_cached(
-                &job.pipe,
-                &job.gpu,
-                &profiles,
-                opts,
-                job.power.as_ref(),
-                cache,
-            ),
-            None => PlanContext::new(&job.pipe, &job.gpu, profiles.clone())
-                .and_then(|ctx| job.solver.characterize(&ctx, opts))
-                .map(|f| (Arc::new(f), false, PlanFingerprint(0))),
-        };
-        let Ok((frontier, cache_hit, fp)) = outcome else {
-            return ReplayOutcome::CharacterizedSolved;
-        };
-        // Sleep plans are a pure function of (profiles, frontier, power
-        // states), so replay rederives them bit-identically.
-        let sleep = job.sleep_plans(&profiles, &frontier).ok().flatten();
-        let mut state = job.state.write();
-        if state.characterized_epoch >= epoch {
-            return ReplayOutcome::CharacterizedSolved;
-        }
-        state.characterized_epoch = epoch;
-        state.frontier = Some(frontier);
-        state.profiles = Some(profiles);
-        state.sleep = sleep;
-        state.degraded = false;
-        state.last_opts = Some(opts.clone());
-        if cache.is_some() {
-            state.plan_fingerprint = Some(fp);
-        }
-        job.deploy_locked(&mut state);
-        if cache_hit {
-            ReplayOutcome::CharacterizedCached
-        } else {
-            ReplayOutcome::CharacterizedSolved
-        }
+        let _ = self.core.apply(event, plan, None);
+        outcome
     }
 
     /// The server's flight recorder. The training loop records one
@@ -1289,75 +1532,18 @@ impl PerseusServer {
     /// [`ServerError::NotLeader`] on a replication follower.
     pub fn register_job(&self, spec: JobSpec) -> Result<(), ServerError> {
         self.ensure_leader()?;
-        self.register_job_inner(spec)
-    }
-
-    fn register_job_inner(&self, spec: JobSpec) -> Result<(), ServerError> {
         if let Some(model) = spec.power_states.as_ref() {
             model
                 .validate(&spec.gpu)
                 .map_err(|e| ServerError::Core(CoreError::PowerState(e)))?;
         }
-        let event = self.store.as_ref().map(|_| {
-            JournalEvent::RegisterJob {
-                name: spec.name.clone(),
-                pipe: spec.pipe.clone(),
-                gpu: spec.gpu.clone(),
-                power: spec.power_states.clone(),
-            }
-            .to_bytes()
-        });
-        let solver = FrontierSolver::with_telemetry(&spec.pipe, self.telemetry.clone());
-        let job = Arc::new(Job {
-            name: spec.name.clone(),
+        let event = JournalEvent::RegisterJob {
+            name: spec.name,
             pipe: spec.pipe,
             gpu: spec.gpu,
             power: spec.power_states,
-            solver,
-            next_epoch: AtomicU64::new(0),
-            degraded_lookups: AtomicU64::new(0),
-            faults_injected: AtomicU64::new(0),
-            telemetry: self.telemetry.clone(),
-            state: RwLock::new(JobMut {
-                frontier: None,
-                characterized_epoch: 0,
-                profiles: None,
-                sleep: None,
-                degraded: false,
-                stragglers: HashMap::new(),
-                pending: Vec::new(),
-                clock_s: 0.0,
-                version: 0,
-                deployed: None,
-                plan_fingerprint: None,
-                last_opts: None,
-                drift: HashMap::new(),
-            }),
-        });
-        let mut journal = self.store.as_ref().map(|s| s.journal.lock());
-        {
-            let mut jobs = self.jobs.write();
-            if jobs.contains_key(&spec.name) {
-                return Err(ServerError::DuplicateJob(spec.name));
-            }
-            jobs.insert(spec.name, job);
-        }
-        if let (Some(store), Some(journal), Some(bytes)) =
-            (self.store.as_ref(), journal.as_mut(), event.as_ref())
-        {
-            store.append_locked(journal, bytes);
-        }
-        drop(journal);
-        self.maybe_snapshot();
-        Ok(())
-    }
-
-    fn job(&self, name: &str) -> Result<Arc<Job>, ServerError> {
-        self.jobs
-            .read()
-            .get(name)
-            .map(Arc::clone)
-            .ok_or_else(|| ServerError::UnknownJob(name.to_string()))
+        };
+        self.mutate(event).map(drop)
     }
 
     /// Receives the client's profiling results and schedules frontier
@@ -1386,10 +1572,10 @@ impl PerseusServer {
         opts: &FrontierOptions,
     ) -> Result<CharacterizeTicket, ServerError> {
         self.ensure_leader()?;
-        let job = self.job(name)?;
+        let job = self.core.job(name)?;
         Self::validate_profiles(name, &profiles)?;
         let permit = self.acquire_inflight(name)?;
-        let store = self.store.clone();
+        let core = Arc::clone(&self.core);
         let cache = self.plan_cache.read().clone();
         // Epoch 1 is the first submission; `characterized_epoch` 0 means
         // "nothing deployed yet", so every first submission wins.
@@ -1419,15 +1605,7 @@ impl PerseusServer {
             };
             let result = {
                 let _span = span!(tel, "characterize", job = job.name);
-                Self::characterize_task(
-                    &job,
-                    epoch,
-                    profiles,
-                    &opts,
-                    fault,
-                    store.as_deref(),
-                    cache.as_deref(),
-                )
+                Self::characterize_task(&core, &job, epoch, profiles, opts, fault, cache)
             };
             // Release the admission slot as soon as the work is done,
             // before the (unbounded-latency) notification send.
@@ -1473,7 +1651,7 @@ impl PerseusServer {
         submissions: Vec<(String, ProfileDb<OpKey>, FrontierOptions)>,
     ) -> Result<Vec<CharacterizeTicket>, ServerError> {
         for (name, profiles, _) in &submissions {
-            self.job(name)?;
+            self.core.job(name)?;
             Self::validate_profiles(name, profiles)?;
         }
         submissions
@@ -1533,40 +1711,6 @@ impl PerseusServer {
         Ok(())
     }
 
-    /// Journals the degradation flag flip that fault containment just
-    /// decided on. Takes the journal lock *before* the state lock (the
-    /// invariant every mutator shares), sets the flag only if a previous
-    /// frontier exists to degrade to, and appends only when the flag was
-    /// actually set.
-    fn contain_degraded(job: &Job, store: Option<&Store>) {
-        let bytes = store.map(|_| {
-            JournalEvent::Degraded {
-                name: job.name.clone(),
-            }
-            .to_bytes()
-        });
-        let mut journal = store.map(|s| s.journal.lock());
-        let mut state = job.state.write();
-        if state.frontier.is_some() {
-            state.degraded = true;
-            if let (Some(store), Some(journal), Some(bytes)) =
-                (store, journal.as_mut(), bytes.as_ref())
-            {
-                store.append_locked(journal, bytes);
-            }
-        }
-    }
-
-    /// Runs on a worker thread: characterize against the job's cached
-    /// solver artifacts, then swap + deploy under the write lock. Panics
-    /// — injected or genuine — are contained here so a dying
-    /// characterization never takes a worker (or the job) with it; the
-    /// job keeps serving its last deployed frontier, marked degraded.
-    ///
-    /// Only *winning* characterizations are journaled (as
-    /// [`JournalEvent::Characterized`], carrying the profiles + options
-    /// so replay re-runs the deterministic solver); superseded and failed
-    /// attempts leave no durable trace beyond the degradation flag.
     /// Exact admission control: atomically claims an in-flight slot or
     /// rejects with [`ServerError::Overloaded`]. `fetch_update` makes the
     /// claim race-free — the counter never exceeds the bound, even under
@@ -1605,22 +1749,41 @@ impl PerseusServer {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Runs on a worker thread: plans against the job's cached solver
+    /// artifacts off-lock, then installs the plan through the
+    /// `Characterized` transition, which swaps + deploys under the write
+    /// lock. Panics — injected or genuine — are contained here so a dying
+    /// characterization never takes a worker (or the job) with it; the
+    /// job keeps serving its last deployed frontier, marked degraded.
+    ///
+    /// Only *winning* characterizations are journaled (as
+    /// [`JournalEvent::Characterized`], carrying the profiles + options
+    /// so replay re-runs the deterministic solver); superseded and failed
+    /// attempts leave no durable trace beyond the degradation flag.
     fn characterize_task(
+        core: &Core,
         job: &Job,
         epoch: u64,
         profiles: ProfileDb<OpKey>,
-        opts: &FrontierOptions,
+        opts: FrontierOptions,
         fault: SubmissionFault,
-        store: Option<&Store>,
-        cache: Option<&PlanCache>,
+        cache: Option<Arc<PlanCache>>,
     ) -> Result<Deployment, ServerError> {
+        // Containment flips the job to degraded (journaled) and fails the
+        // ticket with `lost`.
+        let contain = |lost: ServerError| {
+            let event = JournalEvent::Degraded {
+                name: job.name.clone(),
+            };
+            core.commit(event, None)?;
+            core.maybe_snapshot();
+            Err(lost)
+        };
         match fault {
             SubmissionFault::None => {}
             SubmissionFault::Drop => {
                 job.faults_injected.fetch_add(1, Ordering::Relaxed);
-                Self::contain_degraded(job, store);
-                return Err(ServerError::SubmissionLost(job.name.clone()));
+                return contain(ServerError::SubmissionLost(job.name.clone()));
             }
             SubmissionFault::Delay(d) => {
                 job.faults_injected.fetch_add(1, Ordering::Relaxed);
@@ -1630,91 +1793,23 @@ impl PerseusServer {
                 job.faults_injected.fetch_add(1, Ordering::Relaxed);
             }
         }
-        // The expensive part runs without holding any job lock: straggler
-        // notifications keep being served from the previous frontier.
-        let characterized = catch_unwind(AssertUnwindSafe(|| {
+        let planned = catch_unwind(AssertUnwindSafe(|| {
             if fault == SubmissionFault::Panic {
                 panic!("injected chaos fault: characterization worker dies");
             }
-            // A fleet cache hit skips the solver entirely — not even the
-            // planning context (profile fits) is built; the shared
-            // frontier is bit-identical to a fresh solve (planning is
-            // deterministic in the fingerprinted inputs).
-            match cache {
-                Some(cache) => job
-                    .solver
-                    .characterize_cached(
-                        &job.pipe,
-                        &job.gpu,
-                        &profiles,
-                        opts,
-                        job.power.as_ref(),
-                        cache,
-                    )
-                    .map(|(f, _, fp)| (f, Some(fp)))
-                    .map_err(ServerError::Core),
-                None => PlanContext::new(&job.pipe, &job.gpu, profiles.clone())
-                    .and_then(|ctx| job.solver.characterize(&ctx, opts))
-                    .map(|f| (Arc::new(f), None))
-                    .map_err(ServerError::Core),
-            }
-            .and_then(|(frontier, fp)| {
-                // The Kareus pass also runs off-lock: straggler lookups
-                // keep answering from the previous frontier + sleep plans.
-                let sleep = job
-                    .sleep_plans(&profiles, &frontier)
-                    .map_err(ServerError::Core)?;
-                Ok((frontier, fp, sleep))
-            })
+            job.plan(&profiles, &opts, cache.as_ref())
         }));
-        let (frontier, fingerprint, sleep) = match characterized {
-            Ok(Ok(out)) => out,
-            Ok(Err(e)) => return Err(e),
-            Err(_) => {
-                Self::contain_degraded(job, store);
-                return Err(ServerError::CharacterizationPanicked(job.name.clone()));
-            }
+        let Ok(plan) = planned else {
+            return contain(ServerError::CharacterizationPanicked(job.name.clone()));
         };
-        // Encode the journal event before taking any lock: profile
-        // databases are the largest thing the journal carries.
-        let bytes = store.map(|_| {
-            JournalEvent::Characterized {
-                name: job.name.clone(),
-                epoch,
-                profiles: profiles.clone(),
-                opts: opts.clone(),
-            }
-            .to_bytes()
-        });
-        let mut journal = store.map(|s| s.journal.lock());
-        let mut state = job.state.write();
-        if state.characterized_epoch > epoch {
-            return Err(ServerError::Superseded(job.name.clone()));
-        }
-        state.characterized_epoch = epoch;
-        state.frontier = Some(frontier);
-        state.profiles = Some(profiles);
-        state.sleep = sleep;
-        state.degraded = false;
-        state.last_opts = Some(opts.clone());
-        // Epoch-based invalidation on re-characterization: when fresh
-        // profiles move this job to a *different* structural fingerprint,
-        // the entry under the old one describes profiles the fleet has
-        // watched drift — open a new cache epoch and drop it.
-        if let (Some(cache), Some(fp)) = (cache, fingerprint) {
-            if let Some(prev) = state.plan_fingerprint {
-                if prev != fp {
-                    cache.advance_epoch();
-                    cache.invalidate(prev);
-                }
-            }
-            state.plan_fingerprint = Some(fp);
-        }
-        if let (Some(store), Some(journal), Some(bytes)) = (store, journal.as_mut(), bytes.as_ref())
-        {
-            store.append_locked(journal, bytes);
-        }
-        Ok(job.deploy_locked(&mut state))
+        let event = JournalEvent::Characterized {
+            name: job.name.clone(),
+            epoch,
+            profiles,
+            opts,
+        };
+        let mut deployed = core.commit(event, Some(plan?))?;
+        Ok(deployed.pop().expect("a characterization deploys"))
     }
 
     /// Table 2 `server.set_straggler(id, delay, degree)`: a straggler on
@@ -1740,61 +1835,16 @@ impl PerseusServer {
         degree: f64,
     ) -> Result<Option<Deployment>, ServerError> {
         self.ensure_leader()?;
-        self.set_straggler_inner(name, gpu_id, delay_s, degree)
-    }
-
-    fn set_straggler_inner(
-        &self,
-        name: &str,
-        gpu_id: usize,
-        delay_s: f64,
-        degree: f64,
-    ) -> Result<Option<Deployment>, ServerError> {
         if !(degree >= 1.0 && degree.is_finite()) {
             return Err(ServerError::InvalidDegree(degree));
         }
-        let job = self.job(name)?;
-        let event = self.store.as_ref().map(|_| {
-            JournalEvent::SetStraggler {
-                name: name.to_string(),
-                gpu_id,
-                delay_s,
-                degree,
-            }
-            .to_bytes()
-        });
-        let mut journal = self.store.as_ref().map(|s| s.journal.lock());
-        let out = {
-            let mut state = job.state.write();
-            if state.frontier.is_none() {
-                return Err(ServerError::NotCharacterized(name.to_string()));
-            }
-            let out = if delay_s <= 0.0 {
-                if degree > 1.0 {
-                    state.stragglers.insert(gpu_id, degree);
-                } else {
-                    state.stragglers.remove(&gpu_id);
-                }
-                Some(job.deploy_locked(&mut state))
-            } else {
-                let fire_at = state.clock_s + delay_s;
-                state.pending.push(PendingStraggler {
-                    fire_at,
-                    gpu_id,
-                    degree,
-                });
-                None
-            };
-            if let (Some(store), Some(journal), Some(bytes)) =
-                (self.store.as_ref(), journal.as_mut(), event.as_ref())
-            {
-                store.append_locked(journal, bytes);
-            }
-            out
+        let event = JournalEvent::SetStraggler {
+            name: name.to_string(),
+            gpu_id,
+            delay_s,
+            degree,
         };
-        drop(journal);
-        self.maybe_snapshot();
-        Ok(out)
+        Ok(self.mutate(event)?.pop())
     }
 
     /// Advances the job's simulated clock, firing any pending straggler
@@ -1807,36 +1857,11 @@ impl PerseusServer {
     /// [`ServerError::NotLeader`] on a replication follower.
     pub fn advance_time(&self, name: &str, dt_s: f64) -> Result<Vec<Deployment>, ServerError> {
         self.ensure_leader()?;
-        self.advance_time_inner(name, dt_s)
-    }
-
-    fn advance_time_inner(&self, name: &str, dt_s: f64) -> Result<Vec<Deployment>, ServerError> {
-        let job = self.job(name)?;
-        let event = self.store.as_ref().map(|_| {
-            JournalEvent::AdvanceTime {
-                name: name.to_string(),
-                dt_s,
-            }
-            .to_bytes()
-        });
-        let mut journal = self.store.as_ref().map(|s| s.journal.lock());
-        let fired = {
-            let mut state = job.state.write();
-            state.clock_s += dt_s.max(0.0);
-            // The deployments fired here are pure functions of the clock
-            // and the journaled pending set, so only the clock advance is
-            // recorded; replay re-fires them identically.
-            let fired = job.fire_due_locked(&mut state);
-            if let (Some(store), Some(journal), Some(bytes)) =
-                (self.store.as_ref(), journal.as_mut(), event.as_ref())
-            {
-                store.append_locked(journal, bytes);
-            }
-            fired
+        let event = JournalEvent::AdvanceTime {
+            name: name.to_string(),
+            dt_s,
         };
-        drop(journal);
-        self.maybe_snapshot();
-        Ok(fired)
+        self.mutate(event)
     }
 
     /// Injects clock skew on the job's simulated timestamps: the clock
@@ -1854,34 +1879,11 @@ impl PerseusServer {
     /// [`ServerError::NotLeader`] on a replication follower.
     pub fn skew_clock(&self, name: &str, skew_s: f64) -> Result<Vec<Deployment>, ServerError> {
         self.ensure_leader()?;
-        self.skew_clock_inner(name, skew_s)
-    }
-
-    fn skew_clock_inner(&self, name: &str, skew_s: f64) -> Result<Vec<Deployment>, ServerError> {
-        let job = self.job(name)?;
-        job.faults_injected.fetch_add(1, Ordering::Relaxed);
-        let event = self.store.as_ref().map(|_| {
-            JournalEvent::SkewClock {
-                name: name.to_string(),
-                skew_s,
-            }
-            .to_bytes()
-        });
-        let mut journal = self.store.as_ref().map(|s| s.journal.lock());
-        let fired = {
-            let mut state = job.state.write();
-            state.clock_s = (state.clock_s + skew_s).max(0.0);
-            let fired = job.fire_due_locked(&mut state);
-            if let (Some(store), Some(journal), Some(bytes)) =
-                (self.store.as_ref(), journal.as_mut(), event.as_ref())
-            {
-                store.append_locked(journal, bytes);
-            }
-            fired
+        let event = JournalEvent::SkewClock {
+            name: name.to_string(),
+            skew_s,
         };
-        drop(journal);
-        self.maybe_snapshot();
-        Ok(fired)
+        self.mutate(event)
     }
 
     /// A datacenter frequency cap landed on the job's accelerators
@@ -1899,54 +1901,12 @@ impl PerseusServer {
     /// otherwise propagates re-realization failures.
     pub fn apply_freq_cap(&self, name: &str, cap: FreqMHz) -> Result<Deployment, ServerError> {
         self.ensure_leader()?;
-        self.apply_freq_cap_inner(name, cap)
-    }
-
-    fn apply_freq_cap_inner(&self, name: &str, cap: FreqMHz) -> Result<Deployment, ServerError> {
-        let job = self.job(name)?;
-        let event = self.store.as_ref().map(|_| {
-            JournalEvent::FreqCap {
-                name: name.to_string(),
-                cap,
-            }
-            .to_bytes()
-        });
-        let mut journal = self.store.as_ref().map(|s| s.journal.lock());
-        let deployment = {
-            let mut state = job.state.write();
-            let (Some(frontier), Some(profiles)) = (state.frontier.clone(), state.profiles.clone())
-            else {
-                return Err(ServerError::NotCharacterized(name.to_string()));
-            };
-            job.faults_injected.fetch_add(1, Ordering::Relaxed);
-            let (clamped, sleep) = {
-                let ctx = PlanContext::new(&job.pipe, &job.gpu, profiles)?;
-                let clamped = frontier.clamp_to_freq_cap(&ctx, job.gpu.clamp_freq(cap))?;
-                // Capped schedules stretch, moving and widening bubbles:
-                // re-run the Kareus pass against the capped timeline.
-                let sleep = job.power.as_ref().map(|model| {
-                    clamped
-                        .points()
-                        .iter()
-                        .map(|p| insert_sleep(&ctx, &p.schedule, model))
-                        .collect::<Vec<SleepPlan>>()
-                });
-                (clamped, sleep)
-            };
-            state.frontier = Some(Arc::new(clamped));
-            state.sleep = sleep;
-            // Journaled only on success: a cap that failed to re-realize
-            // changed nothing and replays nothing.
-            if let (Some(store), Some(journal), Some(bytes)) =
-                (self.store.as_ref(), journal.as_mut(), event.as_ref())
-            {
-                store.append_locked(journal, bytes);
-            }
-            job.deploy_locked(&mut state)
+        let event = JournalEvent::FreqCap {
+            name: name.to_string(),
+            cap,
         };
-        drop(journal);
-        self.maybe_snapshot();
-        Ok(deployment)
+        let mut deployed = self.mutate(event)?;
+        Ok(deployed.pop().expect("a frequency cap redeploys"))
     }
 
     /// Everything the server knows about one job in a single consistent
@@ -1960,7 +1920,7 @@ impl PerseusServer {
     /// but not-yet-characterized job is a valid status with
     /// `deployment: None` and `epoch: 0`.
     pub fn job_status(&self, name: &str) -> Result<JobStatus, ServerError> {
-        let job = self.job(name)?;
+        let job = self.core.job(name)?;
         let state = job.state.read();
         Ok(JobStatus {
             deployment: state.deployed.clone(),
@@ -1981,7 +1941,8 @@ impl PerseusServer {
 
     /// The cached frontier for a job, if characterized.
     pub fn frontier(&self, name: &str) -> Option<Arc<ParetoFrontier>> {
-        self.jobs
+        self.core
+            .jobs
             .read()
             .get(name)
             .and_then(|j| j.state.read().frontier.clone())
@@ -1989,19 +1950,20 @@ impl PerseusServer {
 
     /// Registered job names.
     pub fn job_names(&self) -> Vec<String> {
-        self.jobs.read().keys().cloned().collect()
+        self.core.jobs.read().keys().cloned().collect()
     }
 
     /// Whether this server journals its state to disk (built via
     /// [`PerseusServer::open`] rather than [`PerseusServer::new`]).
     pub fn is_durable(&self) -> bool {
-        self.store.is_some()
+        self.core.store.is_some()
     }
 
     /// Durability counters of the backing store; all zero for an
     /// in-memory server.
     pub fn durability(&self) -> DurabilityStats {
-        self.store
+        self.core
+            .store
             .as_ref()
             .map_or_else(DurabilityStats::default, |s| s.stats())
     }
@@ -2011,7 +1973,7 @@ impl PerseusServer {
     /// in-memory server. Low values trade journal size for snapshot
     /// write traffic; tests use 1 to force a snapshot per mutation.
     pub fn set_snapshot_every(&self, every: u64) {
-        if let Some(store) = self.store.as_ref() {
+        if let Some(store) = self.core.store.as_ref() {
             store.snapshot_every.store(every.max(1), Ordering::Relaxed);
         }
     }
@@ -2026,53 +1988,7 @@ impl PerseusServer {
     /// observability counters are excluded: they are not part of durable
     /// identity.
     pub fn state_fingerprint(&self) -> Vec<u8> {
-        self.snapshot_jobs(true).to_bytes()
-    }
-
-    /// Serializes the jobs map for a snapshot or fingerprint. Jobs are
-    /// sorted by name and straggler maps by accelerator id, so equal
-    /// states always yield equal bytes. `for_fingerprint` zeroes the
-    /// in-flight submission counter (see
-    /// [`PerseusServer::state_fingerprint`]).
-    pub(crate) fn snapshot_jobs(&self, for_fingerprint: bool) -> Vec<JobSnapshot> {
-        let jobs = self.jobs.read();
-        let mut names: Vec<&String> = jobs.keys().collect();
-        names.sort();
-        names
-            .into_iter()
-            .map(|name| {
-                let job = &jobs[name];
-                let state = job.state.read();
-                let mut stragglers: Vec<(usize, f64)> =
-                    state.stragglers.iter().map(|(k, v)| (*k, *v)).collect();
-                stragglers.sort_by_key(|&(gpu_id, _)| gpu_id);
-                JobSnapshot {
-                    name: job.name.clone(),
-                    pipe: job.pipe.clone(),
-                    gpu: job.gpu.clone(),
-                    power: job.power.clone(),
-                    next_epoch: if for_fingerprint {
-                        0
-                    } else {
-                        job.next_epoch.load(Ordering::Relaxed)
-                    },
-                    characterized_epoch: state.characterized_epoch,
-                    frontier: state.frontier.as_ref().map(|f| (**f).clone()),
-                    profiles: state.profiles.clone(),
-                    sleep: state.sleep.clone(),
-                    degraded: state.degraded,
-                    stragglers,
-                    pending: state
-                        .pending
-                        .iter()
-                        .map(|p| (p.fire_at, p.gpu_id, p.degree))
-                        .collect(),
-                    clock_s: state.clock_s,
-                    version: state.version,
-                    deployed: state.deployed.clone(),
-                }
-            })
-            .collect()
+        self.core.snapshot_jobs(true).to_bytes()
     }
 
     /// Writes a snapshot of the full server state and compacts the
@@ -2087,34 +2003,7 @@ impl PerseusServer {
     /// (the journal itself is still intact and recovery still works —
     /// it just replays more).
     pub fn snapshot_now(&self) -> Result<(), ServerError> {
-        let Some(store) = self.store.as_ref() else {
-            return Ok(());
-        };
-        let mut journal = store.journal.lock();
-        let snap = ServerSnapshot {
-            applied_seq: journal.next_seq().saturating_sub(1),
-            jobs: self.snapshot_jobs(false),
-        };
-        write_snapshot(&store.snapshot_path, &snap.to_bytes())?;
-        journal.compact_below(snap.applied_seq)?;
-        store.appends_since_snapshot.store(0, Ordering::Relaxed);
-        store.snapshots_written.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Snapshots if enough appends accumulated since the last one.
-    /// Called at the end of every mutating API call, after all locks are
-    /// released. Snapshot failures are swallowed here: a full disk
-    /// degrades durability (longer replay), never the serving path.
-    fn maybe_snapshot(&self) {
-        let Some(store) = self.store.as_ref() else {
-            return;
-        };
-        if store.appends_since_snapshot.load(Ordering::Relaxed)
-            >= store.snapshot_every.load(Ordering::Relaxed)
-        {
-            let _ = self.snapshot_now();
-        }
+        self.core.snapshot_now()
     }
 
     /// Chaos hook: scribbles `garbage` over the journal's append cursor,
@@ -2123,16 +2012,29 @@ impl PerseusServer {
     /// garbage), exercising recovery's truncate-to-last-valid-record
     /// path. Returns whether a durable journal was actually poisoned.
     pub fn corrupt_journal_tail(&self, garbage: &[u8]) -> bool {
-        let Some(store) = self.store.as_ref() else {
+        let Some(store) = self.core.store.as_ref() else {
             return false;
         };
         store.journal.lock().scribble_garbage(garbage).is_ok()
     }
 
+    /// Test hook: every later journal append fails with a real OS error
+    /// (see [`Journal::make_read_only`]) until a snapshot reopens it.
+    #[cfg(test)]
+    pub(crate) fn make_journal_read_only(&self) {
+        let store = self.core.store.as_ref().expect("a durable server");
+        store
+            .journal
+            .lock()
+            .make_read_only()
+            .expect("reopen read-only");
+    }
+
     /// Absolute path of the write-ahead journal, if this server is
     /// durable. Test/bench hook for crash-point injection.
     pub fn journal_path(&self) -> Option<PathBuf> {
-        self.store
+        self.core
+            .store
             .as_ref()
             .map(|s| s.journal.lock().path().to_path_buf())
     }
@@ -2166,9 +2068,17 @@ impl PerseusServer {
         self.leader_hint.read().clone()
     }
 
+    /// A public mutator's transition (after its leader and argument
+    /// checks): [`Core::commit`], then fold a snapshot if one is due.
+    fn mutate(&self, event: JournalEvent) -> Result<Vec<Deployment>, ServerError> {
+        let deployed = self.core.commit(event, None)?;
+        self.core.maybe_snapshot();
+        Ok(deployed)
+    }
+
     /// Fails with [`ServerError::NotLeader`] unless this server is the
     /// leader. Every public mutator calls this; the replicated-apply path
-    /// ([`PerseusServer::replay_event`]) deliberately does not.
+    /// ([`PerseusServer::replay`]) deliberately does not.
     fn ensure_leader(&self) -> Result<(), ServerError> {
         if self.role() == Role::Leader {
             return Ok(());
@@ -2255,12 +2165,12 @@ impl PerseusServer {
         let journal = store.journal.lock();
         Ok(ServerSnapshot {
             applied_seq: journal.next_seq().saturating_sub(1),
-            jobs: self.snapshot_jobs(false),
+            jobs: self.core.snapshot_jobs(false),
         })
     }
 
     fn durable_store(&self) -> Result<&Arc<Store>, ServerError> {
-        self.store.as_ref().ok_or_else(|| {
+        self.core.store.as_ref().ok_or_else(|| {
             ServerError::Store(StoreError::Io(std::io::Error::new(
                 std::io::ErrorKind::Unsupported,
                 "in-memory server has no journal to replicate",
@@ -2268,12 +2178,13 @@ impl PerseusServer {
         })
     }
 
-    /// Attaches the durable backing a promotion built (see
-    /// [`crate::FollowerServer::promote`]). The server must not already
-    /// have a store.
+    /// Attaches the durable backing of a server being opened or promoted
+    /// (see [`crate::FollowerServer::promote`]). The server must not
+    /// already have a store, nor any characterization in flight.
     pub(crate) fn attach_store(&mut self, store: Arc<Store>) {
-        debug_assert!(self.store.is_none(), "attach_store on a durable server");
-        self.store = Some(store);
+        let core = Arc::get_mut(&mut self.core).expect("no characterization in flight");
+        debug_assert!(core.store.is_none(), "attach_store on a durable server");
+        core.store = Some(store);
     }
 
     /// Sets the drift-watcher threshold: the largest pending
@@ -2325,7 +2236,7 @@ impl PerseusServer {
         deltas: &[ProfileDelta<OpKey>],
     ) -> Result<Option<CharacterizeTicket>, ServerError> {
         self.ensure_leader()?;
-        let job = self.job(name)?;
+        let job = self.core.job(name)?;
         let threshold = self.drift_threshold();
         let replan = {
             let mut state = job.state.write();

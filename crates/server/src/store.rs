@@ -3,14 +3,17 @@
 //!
 //! # What gets journaled
 //!
-//! One [`JournalEvent`] per state *mutation*, appended inside the same
-//! critical section that performs the mutation (lock order is always
-//! journal → jobs map → job state), so journal order equals mutation
-//! order per job. Replaying the events through the same deterministic
-//! code paths therefore reconstructs bit-identical state — including the
-//! monotonically increasing deployment `version` counters, which is what
-//! makes post-recovery deployments byte-comparable against an
-//! uninterrupted run.
+//! One [`JournalEvent`] per state *mutation*. Every event kind has one
+//! transition, `Core::apply` in the server module: check (may fail,
+//! changes nothing) → append (live calls on a durable server only) →
+//! mutate and deploy (cannot fail). The append happens inside the same
+//! critical section as the mutation (lock order is always journal → jobs
+//! map → job state), so journal order equals mutation order per job, and
+//! a failed append leaves the state untouched. Recovery and replication
+//! run the same transitions without appending, which reconstructs
+//! bit-identical state — including the monotonically increasing
+//! deployment `version` counters, which is what makes post-recovery
+//! deployments byte-comparable against an uninterrupted run.
 //!
 //! [`JournalEvent::Characterized`] is recorded at *deploy* time (after
 //! the submission won epoch supersession), carrying the full profile
@@ -120,6 +123,21 @@ pub(crate) enum JournalEvent {
         /// Job name.
         name: String,
     },
+}
+
+impl JournalEvent {
+    /// The job the event belongs to.
+    pub fn name(&self) -> &str {
+        match self {
+            JournalEvent::RegisterJob { name, .. }
+            | JournalEvent::Characterized { name, .. }
+            | JournalEvent::SetStraggler { name, .. }
+            | JournalEvent::AdvanceTime { name, .. }
+            | JournalEvent::SkewClock { name, .. }
+            | JournalEvent::FreqCap { name, .. }
+            | JournalEvent::Degraded { name } => name,
+        }
+    }
 }
 
 impl Persist for JournalEvent {
@@ -430,27 +448,46 @@ impl Store {
     }
 
     /// Appends an already-encoded event to the journal the caller holds
-    /// locked. Append failures are contained: the mutation already
-    /// happened and must not be rolled back, so an unwritable journal
-    /// degrades durability (the event will be missing after a crash) but
-    /// never takes down the serving path.
-    pub fn append_locked(&self, journal: &mut Journal, payload: &[u8]) {
-        if journal.append(payload).is_ok() {
-            self.journal_appends.fetch_add(1, Ordering::Relaxed);
-            self.appends_since_snapshot.fetch_add(1, Ordering::Relaxed);
-            if self.telemetry.is_enabled() {
-                self.telemetry
-                    .counter("perseus_store_journal_appends_total")
-                    .inc();
-            }
+    /// locked. The caller has not mutated anything yet: on failure it
+    /// returns the error and leaves state untouched, so an acknowledged
+    /// mutation is always one the journal holds.
+    ///
+    /// # Errors
+    ///
+    /// The journal's write error; no counter moves.
+    pub fn append_locked(&self, journal: &mut Journal, payload: &[u8]) -> Result<(), StoreError> {
+        journal.append(payload)?;
+        self.journal_appends.fetch_add(1, Ordering::Relaxed);
+        self.appends_since_snapshot.fetch_add(1, Ordering::Relaxed);
+        if self.telemetry.is_enabled() {
+            self.telemetry
+                .counter("perseus_store_journal_appends_total")
+                .inc();
         }
+        Ok(())
     }
 
-    /// Records that a recovery ran (existing state was found and
-    /// restored).
-    pub fn record_recovery(&self) {
-        self.recoveries.fetch_add(1, Ordering::Relaxed);
-        if self.telemetry.is_enabled() {
+    /// Adds what a recovery found and replayed (see
+    /// `PerseusServer::recover_from`) to the counters; `recoveries` is 1
+    /// when there was existing state to restore.
+    pub fn record_recovery(&self, found: &DurabilityStats) {
+        for (counter, n) in [
+            (&self.recoveries, found.recoveries),
+            (&self.truncated_records, found.truncated_records),
+            (&self.replayed_events, found.replayed_events),
+            (
+                &self.recharacterizations_replayed,
+                found.recharacterizations_replayed,
+            ),
+            (
+                &self.recharacterizations_avoided,
+                found.recharacterizations_avoided,
+            ),
+            (&self.corrupt_snapshots, found.corrupt_snapshots),
+        ] {
+            counter.fetch_add(n, Ordering::Relaxed);
+        }
+        if found.recoveries > 0 && self.telemetry.is_enabled() {
             self.telemetry
                 .counter("perseus_store_recoveries_total")
                 .inc();

@@ -755,12 +755,17 @@ fn client_status_surfaces_job_status() {
 }
 
 mod durability {
+    use std::sync::Arc;
+
     use perseus_core::FrontierOptions;
-    use perseus_gpu::{FreqMHz, GpuSpec};
+    use perseus_gpu::{FreqMHz, GpuSpec, PowerStateModel};
     use perseus_store::Journal;
+    use perseus_telemetry::Telemetry;
 
     use super::{model_profiles, pipe, unique_test_dir};
+    use crate::replica::{FollowerServer, Replicator};
     use crate::server::{JobSpec, PerseusServer, ServerError};
+    use crate::{FaultInjector, SubmissionFault};
 
     /// SplitMix64: a tiny deterministic generator for the randomized
     /// replay-idempotence test, so the test needs no RNG dependency.
@@ -791,32 +796,89 @@ mod durability {
             .unwrap();
     }
 
+    /// Loses every submission while installed.
+    struct LoseAll;
+
+    impl FaultInjector for LoseAll {
+        fn submission_fault(&self, _job: &str, _epoch: u64) -> SubmissionFault {
+            SubmissionFault::Drop
+        }
+    }
+
     /// Drives a durable server through one scripted history covering every
     /// journaled event kind, capturing the state fingerprint after each
-    /// mutation. Returns the per-step fingerprints, in order; step `i`
-    /// completes journal sequence `i + 1`.
-    fn scripted_history(server: &PerseusServer) -> Vec<Vec<u8>> {
+    /// mutation. The characterized job plans sleep states, so replay
+    /// re-derives its sleep plans. After every step a follower fed by
+    /// replication must have the leader's fingerprint: live, recovered
+    /// and replicated state come from the same transitions. Returns the
+    /// per-step fingerprints, in order; step `i` completes journal
+    /// sequence `i + 1`.
+    fn scripted_history(server: &Arc<PerseusServer>) -> Vec<Vec<u8>> {
         let gpu = GpuSpec::a100_pcie();
+        let follower_dir = unique_test_dir("script-follower");
+        let mut follower = FollowerServer::open(&follower_dir).unwrap();
+        let replicator = Replicator::new(Arc::clone(server));
         let mut fps = Vec::new();
-        register(server);
-        fps.push(server.state_fingerprint());
+        let mut step = || {
+            let fp = server.state_fingerprint();
+            replicator.sync(&mut follower).unwrap();
+            follower.apply_all();
+            assert_eq!(
+                follower.server().state_fingerprint(),
+                fp,
+                "follower diverged from the leader at step {}",
+                fps.len() + 1
+            );
+            fps.push(fp);
+        };
+
+        server
+            .register_job(JobSpec {
+                name: "gpt".into(),
+                pipe: pipe(),
+                gpu: gpu.clone(),
+                power_states: Some(PowerStateModel::default_for(&gpu)),
+            })
+            .unwrap();
+        step();
         server
             .submit_profiles("gpt", model_profiles(&gpu), &FrontierOptions::default())
             .unwrap()
             .wait()
             .unwrap();
-        fps.push(server.state_fingerprint());
+        step();
+        // A lost resubmission journals the degradation flag flip.
+        server.set_fault_injector(Some(Arc::new(LoseAll)));
+        let lost = server
+            .submit_profiles("gpt", model_profiles(&gpu), &FrontierOptions::default())
+            .unwrap()
+            .wait();
+        assert!(matches!(lost, Err(ServerError::SubmissionLost(_))));
+        server.set_fault_injector(None);
+        step();
         server.set_straggler("gpt", 0, 0.0, 1.2).unwrap();
-        fps.push(server.state_fingerprint());
+        step();
         server.set_straggler("gpt", 2, 30.0, 1.4).unwrap();
-        fps.push(server.state_fingerprint());
+        step();
         server.advance_time("gpt", 10.0).unwrap();
-        fps.push(server.state_fingerprint());
+        step();
         server.skew_clock("gpt", 25.0).unwrap();
-        fps.push(server.state_fingerprint());
+        step();
         let cap = FreqMHz((gpu.min_freq_mhz + gpu.max_freq_mhz) / 2);
         server.apply_freq_cap("gpt", cap).unwrap();
-        fps.push(server.state_fingerprint());
+        step();
+        // A frequency-only job next to the Kareus one.
+        server
+            .register_job(JobSpec {
+                name: "plain".into(),
+                pipe: pipe(),
+                gpu: gpu.clone(),
+                power_states: None,
+            })
+            .unwrap();
+        step();
+        drop(follower);
+        let _ = std::fs::remove_dir_all(&follower_dir);
         fps
     }
 
@@ -855,7 +917,7 @@ mod durability {
     #[test]
     fn reopen_restores_bit_identical_state() {
         let dir = unique_test_dir("reopen");
-        let server = PerseusServer::open(&dir).unwrap();
+        let server = Arc::new(PerseusServer::open(&dir).unwrap());
         assert!(server.is_durable());
         let fps = scripted_history(&server);
         let before = server.state_fingerprint();
@@ -865,7 +927,7 @@ mod durability {
         server.snapshot_now().unwrap();
         drop(server);
 
-        let recovered = PerseusServer::recover(&dir).unwrap();
+        let recovered = PerseusServer::open(&dir).unwrap();
         assert_eq!(recovered.state_fingerprint(), before);
         let stats = recovered.durability();
         assert_eq!(stats.recoveries, 1);
@@ -894,8 +956,7 @@ mod durability {
     #[test]
     fn crash_at_every_journal_offset_recovers_a_prefix_state() {
         let dir = unique_test_dir("crashpoint");
-        let server =
-            PerseusServer::open_with(&dir, 1, perseus_telemetry::Telemetry::disabled()).unwrap();
+        let server = Arc::new(PerseusServer::open_with(&dir, 1, Telemetry::disabled()).unwrap());
         // Keep the whole history in the journal: no snapshot compaction.
         server.set_snapshot_every(u64::MAX);
         let fps = scripted_history(&server);
@@ -973,7 +1034,7 @@ mod durability {
         assert_ne!(server.state_fingerprint(), at_scribble);
         drop(server);
 
-        let recovered = PerseusServer::recover(&dir).unwrap();
+        let recovered = PerseusServer::open(&dir).unwrap();
         assert_eq!(recovered.state_fingerprint(), at_scribble);
         let stats = recovered.durability();
         assert_eq!(stats.recoveries, 1);
@@ -983,7 +1044,7 @@ mod durability {
 
         // Recovery folded the surviving tail into a snapshot, so the
         // second open sees a clean store.
-        let again = PerseusServer::recover(&dir).unwrap();
+        let again = PerseusServer::open(&dir).unwrap();
         assert_eq!(again.state_fingerprint(), at_scribble);
         assert_eq!(again.durability().truncated_records, 0);
         drop(again);
@@ -1014,8 +1075,7 @@ mod durability {
     #[test]
     fn replay_is_idempotent_under_snapshot_journal_overlap() {
         let dir = unique_test_dir("idem");
-        let server =
-            PerseusServer::open_with(&dir, 1, perseus_telemetry::Telemetry::disabled()).unwrap();
+        let server = Arc::new(PerseusServer::open_with(&dir, 1, Telemetry::disabled()).unwrap());
         server.set_snapshot_every(u64::MAX);
         let fps = scripted_history(&server);
         let journal = server.journal_path().unwrap();
@@ -1049,7 +1109,7 @@ mod durability {
             }
             drop(tail_journal);
 
-            let recovered = PerseusServer::recover(&sdir).unwrap();
+            let recovered = PerseusServer::open(&sdir).unwrap();
             let expect = if k == 0 {
                 PerseusServer::new().state_fingerprint()
             } else {
@@ -1082,13 +1142,13 @@ mod durability {
     #[test]
     fn aggressive_snapshot_cadence_keeps_journal_compact_and_state_exact() {
         let dir = unique_test_dir("cadence");
-        let server =
-            PerseusServer::open_with(&dir, 1, perseus_telemetry::Telemetry::disabled()).unwrap();
+        let server = Arc::new(PerseusServer::open_with(&dir, 1, Telemetry::disabled()).unwrap());
         server.set_snapshot_every(1);
         let fps = scripted_history(&server);
         let stats = server.durability();
-        // Every synchronous mutator folds a snapshot; the asynchronous
-        // characterization append is folded by the next mutator.
+        // Every synchronous mutator (and fault containment) folds a
+        // snapshot; the asynchronous characterization append is folded
+        // by the next mutator.
         assert!(stats.snapshots_written >= fps.len() as u64 - 1);
         let journal = server.journal_path().unwrap();
         drop(server);
@@ -1098,9 +1158,69 @@ mod durability {
             ends.len() <= 1,
             "per-mutation snapshots keep at most the in-flight record journaled"
         );
-        let recovered = PerseusServer::recover(&dir).unwrap();
+        let recovered = PerseusServer::open(&dir).unwrap();
         assert_eq!(&recovered.state_fingerprint(), fps.last().unwrap());
         assert_eq!(recovered.durability().replayed_events, 0);
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A journal append that fails with a real OS error (the journal's
+    /// handle is swapped for a read-only one) fails the call with
+    /// `ServerError::Store` and changes nothing — state, deployment
+    /// versions and the append counter — so every acknowledged mutation
+    /// is one the journal holds and recovery lands on the same state.
+    #[test]
+    fn failed_append_fails_the_call_and_changes_nothing() {
+        let dir = unique_test_dir("append-fail");
+        let server = PerseusServer::open_with(&dir, 1, Telemetry::disabled()).unwrap();
+        server.set_snapshot_every(u64::MAX);
+        let gpu = GpuSpec::a100_pcie();
+        register(&server);
+        server
+            .submit_profiles("gpt", model_profiles(&gpu), &FrontierOptions::default())
+            .unwrap()
+            .wait()
+            .unwrap();
+        server.set_straggler("gpt", 2, 30.0, 1.4).unwrap();
+        let before = server.state_fingerprint();
+        let appends = server.durability().journal_appends;
+        server.make_journal_read_only();
+
+        let check = |call: &str, result: Result<(), ServerError>| {
+            assert!(
+                matches!(result, Err(ServerError::Store(_))),
+                "{call} must surface the failed append, got {result:?}"
+            );
+            assert_eq!(server.state_fingerprint(), before, "{call} changed state");
+        };
+        let spec = JobSpec {
+            name: "other".into(),
+            pipe: pipe(),
+            gpu: gpu.clone(),
+            power_states: None,
+        };
+        check("register_job", server.register_job(spec));
+        check(
+            "set_straggler",
+            server.set_straggler("gpt", 0, 0.0, 1.2).map(drop),
+        );
+        check("advance_time", server.advance_time("gpt", 40.0).map(drop));
+        check("skew_clock", server.skew_clock("gpt", 40.0).map(drop));
+        let cap = FreqMHz((gpu.min_freq_mhz + gpu.max_freq_mhz) / 2);
+        check(
+            "apply_freq_cap",
+            server.apply_freq_cap("gpt", cap).map(drop),
+        );
+        let ticket = server
+            .submit_profiles("gpt", model_profiles(&gpu), &FrontierOptions::default())
+            .unwrap();
+        check("submit_profiles", ticket.wait().map(drop));
+        assert_eq!(server.durability().journal_appends, appends);
+        drop(server);
+
+        let recovered = PerseusServer::open(&dir).unwrap();
+        assert_eq!(recovered.state_fingerprint(), before);
         drop(recovered);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1814,7 +1934,7 @@ mod kareus {
                 .unwrap();
             server.state_fingerprint()
         };
-        let recovered = PerseusServer::recover(&dir).unwrap();
+        let recovered = PerseusServer::open(&dir).unwrap();
         assert_eq!(recovered.state_fingerprint(), fingerprint);
         let status = recovered.job_status("gpt-kareus").unwrap();
         assert!(status.deployment.unwrap().sleep.is_some());

@@ -179,9 +179,14 @@ impl Journal {
     /// Appends a record with an explicit sequence number (compaction and
     /// test-journal construction; live appends use [`Journal::append`]).
     ///
+    /// The frame is written at the end of the last valid record, so bytes
+    /// a failed earlier write left behind are overwritten rather than
+    /// stranding this record behind a torn one.
+    ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] on write failures.
+    /// [`StoreError::Io`] on write failures. The file is then truncated
+    /// back to the last valid record (best effort) and nothing advances.
     pub fn append_with_seq(&mut self, seq: u64, payload: &[u8]) -> Result<(), StoreError> {
         let mut body = Vec::with_capacity(8 + payload.len());
         body.extend_from_slice(&seq.to_le_bytes());
@@ -190,8 +195,15 @@ impl Journal {
         frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(&body).to_le_bytes());
         frame.extend_from_slice(&body);
-        self.file.write_all(&frame)?;
-        self.file.flush()?;
+        let written = self
+            .file
+            .seek(SeekFrom::Start(self.end))
+            .and_then(|_| self.file.write_all(&frame))
+            .and_then(|()| self.file.flush());
+        if let Err(e) = written {
+            let _ = self.file.set_len(self.end);
+            return Err(e.into());
+        }
         self.end += frame.len() as u64;
         self.next_seq = self.next_seq.max(seq + 1);
         self.stats.appends += 1;
@@ -332,6 +344,19 @@ impl Journal {
         self.end += garbage.len() as u64;
         Ok(())
     }
+
+    /// Chaos hook: swaps the file handle for a read-only one on the same
+    /// file, so every later append fails with a real OS error until the
+    /// journal is reopened (compaction reopens it read-write).
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] if the file cannot be reopened.
+    #[doc(hidden)]
+    pub fn make_read_only(&mut self) -> Result<(), StoreError> {
+        self.file = File::open(&self.path)?;
+        Ok(())
+    }
 }
 
 /// Parses the record starting at `pos`, returning `(seq, payload,
@@ -363,4 +388,32 @@ fn next_record(bytes: &[u8], pos: usize, min_seq: u64) -> Option<(u64, &[u8], us
         return None;
     }
     Some((seq, &body[8..], body_end))
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::Write;
+
+    use super::Journal;
+
+    /// A write that fails part-way leaves a partial frame past `end`. The
+    /// next append must overwrite it: appending after it would put every
+    /// later record behind a torn one, where the next open truncates it.
+    #[test]
+    fn append_after_a_torn_frame_survives_reopen() {
+        let dir = std::env::temp_dir().join(format!("perseus-journal-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("torn.journal");
+        let (mut journal, _) = Journal::open(&path).unwrap();
+        journal.append(b"first").unwrap();
+        journal.file.write_all(&[0xAB; 11]).unwrap();
+        journal.append(b"second").unwrap();
+        journal.append(b"third").unwrap();
+        drop(journal);
+
+        let (_, records) = Journal::open(&path).unwrap();
+        let payloads: Vec<&[u8]> = records.iter().map(|r| r.payload.as_slice()).collect();
+        assert_eq!(payloads, [&b"first"[..], b"second", b"third"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
